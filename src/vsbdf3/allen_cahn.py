@@ -8,7 +8,7 @@ by a full Newton iteration: the Jacobian b0*I - eps2*L + diag(3u^2 - 1) is
 rebuilt and LU-factorized every iteration, the initial iterate is the
 previous time level, and convergence is max-norm residual <= newton_tol.
 The residual is checked before the first solve, so exact steady states cost
-zero iterations.
+zero iterations; a non-finite residual is a divergence, never convergence.
 
 Two forcing modes: "manufactured" adds the source that makes
 u = (t^4+1)(1-x^2)(1-y^2) exact (for convergence studies on the Chebyshev
@@ -54,12 +54,12 @@ __all__ = [
 class NewtonDivergenceError(RuntimeError):
     """Newton failed to converge; carries the level and last residual."""
 
-    def __init__(self, level: int, residual: float, max_iter: int):
+    def __init__(self, level: int, residual: float, iterations: int):
         self.level = level
         self.residual = residual
         super().__init__(
             f"Newton did not converge at level {level}: "
-            f"residual {residual:.3e} after {max_iter} iterations"
+            f"residual {residual:.3e} after {iterations} iterations"
         )
 
 
@@ -190,9 +190,10 @@ def step(config: SolverConfig, history, n: int) -> tuple[FieldState, StepDiagnos
     res_norm = float(np.max(np.abs(res)))
     iterations = 0
     eye = np.eye(op.n_unknowns)
-    while res_norm > config.newton_tol:
-        if iterations >= config.newton_max_iter:
-            raise NewtonDivergenceError(n, res_norm, config.newton_max_iter)
+    # written so that a NaN residual stays in the loop and raises
+    while not res_norm <= config.newton_tol:
+        if not math.isfinite(res_norm) or iterations >= config.newton_max_iter:
+            raise NewtonDivergenceError(n, res_norm, iterations)
         jac = -config.eps2 * op.L + (c.b0 - 1.0) * eye
         jac[np.diag_indices_from(jac)] += 3.0 * u * u
         try:

@@ -2,8 +2,13 @@
 
 Level n uses the one-step kernel for n = 1, the two-step kernel for n = 2
 and the three-step kernel from n = 3 on.  Weights depend only on the local
-data (tau_n, r_n, r_{n-1}) and are recomputed per level, so time stepping
-never touches the N x N matrices; those exist for analysis and diagnostics.
+data (tau_n, r_n, r_{n-1}), and only through b_k = beta_k / tau_n, so one
+table of ratio parts beta_k (ratio_weights, built from one array call into
+each closed form) is the single source for every other form: the kernel
+matrix B, the step-scaled A = Lambda^{1/2} B Lambda^{1/2}, and the shifted
+and scaled entries certified in ratio_analysis.  Time stepping evaluates
+the closed forms per level (bdf_coefficients) and never touches the N x N
+matrices; those exist for analysis and diagnostics.
 
 The inverse kernels (rows of D = B^{-1}) are computed by the backward
 recursion that defines them, one column at a time, exploiting that B has
@@ -25,8 +30,7 @@ __all__ = [
     "bdf1_weight",
     "bdf2_weights",
     "bdf3_weights",
-    "scaled_bdf2_weights",
-    "scaled_bdf3_weights",
+    "ratio_weights",
     "bdf_coefficients",
     "assemble_B",
     "doc_kernels",
@@ -63,13 +67,17 @@ def bdf1_weight(tau1: float) -> float:
     return 1.0 / tau1
 
 
-def bdf2_weights(tau2: float, r2: float) -> tuple[float, float]:
+def bdf2_weights(tau2, r2):
+    """Two-step weights (b0, b1); tau2 and r2 may be scalars or arrays."""
     den = tau2 * (1.0 + r2)
     return (1.0 + 2.0 * r2) / den, -(r2 * r2) / den
 
 
-def bdf3_weights(tau_n: float, r_n: float, r_nm1: float) -> tuple[float, float, float]:
-    """Three-step weights (b0, b1, b2) from the step and the two trailing ratios."""
+def bdf3_weights(tau_n, r_n, r_nm1):
+    """Three-step weights (b0, b1, b2) from the step and the two trailing ratios.
+
+    The arguments may be scalars or arrays of one shape.
+    """
     den = tau_n * (1.0 + r_n) * (1.0 + r_nm1) * (1.0 + r_nm1 + r_n * r_nm1)
     b0 = (1.0 + r_nm1) * (1.0 + 2.0 * r_n + r_nm1 * (1.0 + 4.0 * r_n + 3.0 * r_n**2)) / den
     b1 = -(r_n**2) * ((1.0 + 2.0 * r_nm1 + r_n * r_nm1) ** 2 - r_nm1 * (1.0 + r_nm1)) / den
@@ -77,18 +85,19 @@ def bdf3_weights(tau_n: float, r_n: float, r_nm1: float) -> tuple[float, float, 
     return b0, b1, b2
 
 
-def scaled_bdf2_weights(r2: float) -> tuple[float, float]:
-    """Dimensionless two-step weights: row 2 of Lambda^{1/2} B Lambda^{1/2}."""
-    return (1.0 + 2.0 * r2) / (1.0 + r2), -(r2**1.5) / (1.0 + r2)
+def ratio_weights(ratios) -> np.ndarray:
+    """Ratio parts beta_k of the kernel weights at every level: b_k = beta_k / tau_n.
 
-
-def scaled_bdf3_weights(r_n: float, r_nm1: float) -> tuple[float, float, float]:
-    """Dimensionless three-step weights (a0, a1, a2); only ratios enter."""
-    den = (1.0 + r_n) * (1.0 + r_nm1) * (1.0 + r_nm1 + r_n * r_nm1)
-    a0 = (1.0 + r_nm1) * (1.0 + 2.0 * r_n + r_nm1 * (1.0 + 4.0 * r_n + 3.0 * r_n**2)) / den
-    a1 = -(r_n**1.5) * ((1.0 + 2.0 * r_nm1 + r_n * r_nm1) ** 2 - r_nm1 * (1.0 + r_nm1)) / den
-    a2 = (r_n**1.5) * (r_nm1**2.5) * (1.0 + r_n) ** 2 / den
-    return a0, a1, a2
+    ratios holds r_2..r_N (length N-1).  Row n-1 of the N x 3 result is
+    (beta_0, beta_1, beta_2) of level n, that is, the level's weights at
+    tau_n = 1; weights a level's kernel lacks are exact zeros.
+    """
+    r = np.asarray(ratios, dtype=float)
+    beta = np.zeros((r.size + 1, 3))
+    beta[0, 0] = bdf1_weight(1.0)
+    beta[1:2, :2] = np.column_stack(bdf2_weights(1.0, r[:1]))
+    beta[2:] = np.column_stack(bdf3_weights(1.0, r[1:], r[:-1]))
+    return beta
 
 
 def bdf_coefficients(grid: TimeGrid, n: int) -> BdfCoefficients:
@@ -104,32 +113,16 @@ def bdf_coefficients(grid: TimeGrid, n: int) -> BdfCoefficients:
     return BdfCoefficients(n, b0, b1, b2)
 
 
-def _kernel_rows(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-level weight arrays b0[j], b1[j], b2[j], 1-based (index 0 unused)."""
-    n = grid.n_steps
-    b0 = np.zeros(n + 1)
-    b1 = np.zeros(n + 1)
-    b2 = np.zeros(n + 1)
-    b0[1] = bdf1_weight(grid.step(1))
-    if n >= 2:
-        b0[2], b1[2] = bdf2_weights(grid.step(2), grid.ratio(2))
-    for j in range(3, n + 1):
-        b0[j], b1[j], b2[j] = bdf3_weights(grid.step(j), grid.ratio(j), grid.ratio(j - 1))
-    return b0, b1, b2
-
-
 def assemble_B(grid: TimeGrid) -> KernelMatrices:
     """Assemble B (lower triangular, bandwidth 3), Lambda and A for the grid."""
     n = grid.n_steps
-    b0, b1, b2 = _kernel_rows(grid)
+    tau = np.asarray(grid.steps)
+    b = ratio_weights(grid.ratios) / tau[:, None]
     B = np.zeros((n, n))
     idx = np.arange(n)
-    B[idx, idx] = b0[1:]
-    if n >= 2:
-        B[idx[1:], idx[:-1]] = b1[2:]
-    if n >= 3:
-        B[idx[2:], idx[:-2]] = b2[3:]
-    tau = np.asarray(grid.steps)
+    B[idx, idx] = b[:, 0]
+    B[idx[1:], idx[:-1]] = b[1:, 1]
+    B[idx[2:], idx[:-2]] = b[2:, 2]
     root = np.sqrt(tau)
     A = root[:, None] * B * root[None, :]
     return KernelMatrices(B=_ro(B), Lambda=_ro(tau.copy()), A=_ro(A))
@@ -145,16 +138,16 @@ def doc_kernels(grid: TimeGrid) -> KernelMatrices:
     """
     km = assemble_B(grid)
     n = grid.n_steps
-    b0, b1, b2 = _kernel_rows(grid)
+    b0, b1, b2 = km.B.diagonal(), km.B.diagonal(-1), km.B.diagonal(-2)
     D = np.zeros((n, n))
     idx = np.arange(n)
-    D[idx, idx] = 1.0 / b0[1:]
+    D[idx, idx] = 1.0 / b0
     # column j (0-based) holds d_{n-k}^(n) for k = j+1; rows i = j+1..n-1
     for j in range(n - 2, -1, -1):
-        acc = D[j + 1 :, j + 1] * b1[j + 2]
+        acc = D[j + 1 :, j + 1] * b1[j]
         if j + 2 < n:
-            acc[1:] += D[j + 2 :, j + 2] * b2[j + 3]
-        D[j + 1 :, j] = -acc / b0[j + 1]
+            acc[1:] += D[j + 2 :, j + 2] * b2[j]
+        D[j + 1 :, j] = -acc / b0[j]
     return KernelMatrices(B=km.B, Lambda=km.Lambda, A=km.A, D=_ro(D))
 
 

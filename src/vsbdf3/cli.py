@@ -422,7 +422,9 @@ def main(argv=None) -> int:
             EigenConvergenceError, PowerIterationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # unreadable or malformed input files, and argument values the
+        # package rejects, are usage errors, not failed properties
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,8 +3,10 @@
 Positive definiteness of the kernel matrices is decided by running the
 symmetric-elimination pivot recursion on their banded entries (Sylvester's
 criterion applied minor by minor) and stopping at the first nonpositive
-pivot.  The closed-form certificate functions bound those pivots and the
-subdiagonal couplings on the certified ratio box [0, 1.405]^2.
+pivot.  The banded entries, step-scaled or gamma-shifted, are derived from
+the one ratio-weight table of bdf_kernels.  The closed-form certificate
+functions bound those pivots and the subdiagonal couplings on the certified
+ratio box [0, 1.405]^2.
 
 The eigenvalue routines at the bottom are deliberately self-contained
 (cyclic Jacobi sweeps, power iteration) so the certification path and its
@@ -19,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bdf_kernels import bdf2_weights, bdf3_weights, scaled_bdf2_weights, scaled_bdf3_weights
+from .bdf_kernels import ratio_weights
 from .time_grid import TimeGrid
 
 __all__ = [
@@ -109,6 +111,19 @@ class SylvesterTrace:
         return self.first_negative is None
 
 
+def _scaled_weights(ratios) -> np.ndarray:
+    """Rows (a0, a1, a2) of A = Lambda^{1/2} B Lambda^{1/2}, ratios only.
+
+    a_0 = beta_0, a_1 = beta_1 / sqrt(r_n), a_2 = beta_2 / sqrt(r_n r_{n-1}),
+    with the table layout of ratio_weights.
+    """
+    r = np.asarray(ratios, dtype=float)
+    a = ratio_weights(r)
+    a[1:, 1] /= np.sqrt(r)
+    a[2:, 2] /= np.sqrt(r[1:] * r[:-1])
+    return a
+
+
 def generating_function(r: float, x) -> np.ndarray | float:
     """Quadratic 2*a2*x^2 + a1*x + (a0 - a2) at equal trailing ratios r.
 
@@ -117,44 +132,33 @@ def generating_function(r: float, x) -> np.ndarray | float:
     """
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"ratio must be positive and finite, got {r!r}")
-    a0, a1, a2 = scaled_bdf3_weights(r, r)
+    a0, a1, a2 = _scaled_weights([r, r])[2]
     x = np.asarray(x, dtype=float)
     out = 2.0 * a2 * x**2 + a1 * x + (a0 - a2)
     return float(out) if out.ndim == 0 else out
 
 
 def _pivot_recursion(diag, sub, subsub):
-    """Shared elimination core on 1-based banded entries of S = K + K^T.
+    """Shared elimination core on the banded entries of S = K + K^T.
 
-    diag[j] is the full diagonal entry, sub[j] the (j, j-1) entry (j >= 2),
-    subsub[j] the (j, j-2) entry (j >= 3).  Returns (p, q, first_negative)
-    with the early-stop convention of SylvesterTrace.
+    Entry i (0-based) of each array belongs to level i+1: diag[i] is the
+    full diagonal entry, sub[i] the (i, i-1) entry (i >= 1), subsub[i] the
+    (i, i-2) entry (i >= 2).  Returns (p, q, first_negative) with the
+    early-stop convention of SylvesterTrace.
     """
-    n = len(diag) - 1
-    p = np.empty(n)
-    q = np.zeros(n)
-    first_negative = None
-    p[0] = diag[1]
-    stop = n
-    if p[0] <= 0.0:
-        first_negative, stop = 1, 1
-    elif n >= 2:
-        q[1] = sub[2]
-        p[1] = diag[2] - q[1] * q[1] / p[0]
-        if p[1] <= 0.0:
-            first_negative, stop = 2, 2
-        else:
-            for j in range(3, n + 1):
-                qj = sub[j] - (q[j - 2] / p[j - 3]) * subsub[j]
-                pj = diag[j] - subsub[j] ** 2 / p[j - 3] - qj * qj / p[j - 2]
-                q[j - 1] = qj
-                p[j - 1] = pj
-                if pj <= 0.0:
-                    first_negative, stop = j, j
-                    break
-            else:
-                stop = n
-    return tuple(map(float, p[:stop])), tuple(map(float, q[:stop])), first_negative
+    diag, sub, subsub = diag.tolist(), sub.tolist(), subsub.tolist()
+    p, q = [diag[0]], [0.0]
+    if len(diag) >= 2 and p[0] > 0.0:
+        q.append(sub[1])
+        p.append(diag[1] - sub[1] * sub[1] / p[0])
+        for j in range(2, len(diag)):
+            if p[-1] <= 0.0:
+                break
+            qj = sub[j] - (q[j - 1] / p[j - 2]) * subsub[j]
+            q.append(qj)
+            p.append(diag[j] - subsub[j] ** 2 / p[j - 2] - qj * qj / p[j - 1])
+    first_negative = len(p) if p[-1] <= 0.0 else None
+    return tuple(p), tuple(q), first_negative
 
 
 def sylvester_trace_A_from_ratios(ratios) -> SylvesterTrace:
@@ -167,18 +171,8 @@ def sylvester_trace_A_from_ratios(ratios) -> SylvesterTrace:
     ratios = np.asarray(ratios, dtype=float)
     if np.any(~np.isfinite(ratios)) or np.any(ratios <= 0.0):
         raise ValueError("ratios must be positive and finite")
-    n = ratios.size + 1
-    diag = np.zeros(n + 1)
-    sub = np.zeros(n + 1)
-    subsub = np.zeros(n + 1)
-    diag[1] = 2.0
-    if n >= 2:
-        a0, a1 = scaled_bdf2_weights(ratios[0])
-        diag[2], sub[2] = 2.0 * a0, a1
-    for j in range(3, n + 1):
-        a0, a1, a2 = scaled_bdf3_weights(ratios[j - 2], ratios[j - 3])
-        diag[j], sub[j], subsub[j] = 2.0 * a0, a1, a2
-    p, q, first = _pivot_recursion(diag, sub, subsub)
+    a = _scaled_weights(ratios)
+    p, q, first = _pivot_recursion(2.0 * a[:, 0], a[:, 1], a[:, 2])
     return SylvesterTrace(p=p, q=q, first_negative=first)
 
 
@@ -187,14 +181,11 @@ def sylvester_trace_A(grid: TimeGrid) -> SylvesterTrace:
     return sylvester_trace_A_from_ratios(grid.ratios)
 
 
-def _shifted_diag(tau: float, r_n: float, r_nm1: float) -> float:
-    num = (1.0 + r_nm1) * (1.99 + 3.99 * r_n + r_nm1 * (1.99 + 7.98 * r_n + 5.99 * r_n**2))
-    den = tau * (1.0 + r_n) * (1.0 + r_nm1) * (1.0 + r_nm1 + r_n * r_nm1)
-    return num / den
+def subdiagonal_envelopes(tau_j, r_j, r_jm1):
+    """Envelope pair (mu_j, nu_j) bracketing the coupling q_j for j >= 3.
 
-
-def subdiagonal_envelopes(tau_j: float, r_j: float, r_jm1: float) -> tuple[float, float]:
-    """Envelope pair (mu_j, nu_j) bracketing the coupling q_j for j >= 3."""
+    The arguments may be scalars or arrays of one shape.
+    """
     base = (r_j**2) * (r_jm1**4) * (1.0 + r_j) / (
         tau_j * (1.0 + r_jm1) ** 2 * (1.0 + r_jm1 + r_j * r_jm1)
     )
@@ -204,28 +195,19 @@ def subdiagonal_envelopes(tau_j: float, r_j: float, r_jm1: float) -> tuple[float
 def sylvester_trace_shifted(grid: TimeGrid) -> SylvesterTrace:
     """Pivot recursion for the gamma-shifted kernel matrix B - gamma*Lambda^{-1}.
 
-    The shifted diagonal absorbs both the transpose doubling and the shift;
-    sub- and sub-subdiagonal entries are the plain kernel weights.
+    The shifted diagonal (2*beta_0 - 2*gamma) / tau absorbs both the
+    transpose doubling and the shift; sub- and sub-subdiagonal entries are
+    the plain kernel weights beta_k / tau.
     """
-    n = grid.n_steps
-    diag = np.zeros(n + 1)
-    sub = np.zeros(n + 1)
-    subsub = np.zeros(n + 1)
-    mu = np.zeros(n + 1)
-    nu = np.zeros(n + 1)
-    diag[1] = 1.99 / grid.step(1)
-    if n >= 2:
-        r2, tau2 = grid.ratio(2), grid.step(2)
-        diag[2] = (1.99 + 3.99 * r2) / (tau2 * (1.0 + r2))
-        _, sub[2] = bdf2_weights(tau2, r2)
-    for j in range(3, n + 1):
-        tau, rj, rm = grid.step(j), grid.ratio(j), grid.ratio(j - 1)
-        diag[j] = _shifted_diag(tau, rj, rm)
-        _, sub[j], subsub[j] = bdf3_weights(tau, rj, rm)
-        mu[j], nu[j] = subdiagonal_envelopes(tau, rj, rm)
-    p, q, first = _pivot_recursion(diag, sub, subsub)
+    tau = np.asarray(grid.steps)
+    r = np.asarray(grid.ratios, dtype=float)
+    beta = ratio_weights(r)
+    diag = (2.0 * beta[:, 0] - 2.0 * GAMMA) / tau
+    p, q, first = _pivot_recursion(diag, beta[:, 1] / tau, beta[:, 2] / tau)
+    mu, nu = np.zeros((2, grid.n_steps))
+    mu[2:], nu[2:] = subdiagonal_envelopes(tau[2:], r[1:], r[:-1])
     return SylvesterTrace(p=p, q=q, first_negative=first,
-                          mu=tuple(map(float, mu[1:])), nu=tuple(map(float, nu[1:])))
+                          mu=tuple(mu.tolist()), nu=tuple(nu.tolist()))
 
 
 def certify_positive_definite(grid: TimeGrid) -> tuple[bool, SylvesterTrace]:

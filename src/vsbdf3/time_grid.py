@@ -100,6 +100,8 @@ class TimeGrid:
             steps = [float(s) for s in data["steps"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"grid JSON needs 'T' and 'steps' fields: {exc}") from exc
+        if not math.isfinite(horizon):
+            raise ValueError(f"grid JSON horizon must be finite, got T = {horizon!r}")
         grid = build_from_steps(steps)
         if abs(grid.horizon - horizon) > 1e-12 * abs(horizon):
             raise ValueError(
@@ -181,7 +183,7 @@ def random_bounded_grid(n: int, max_step: float, seed: int) -> TimeGrid:
     return TimeGrid(tuple(float(s) for s in steps))
 
 
-def build_from_ratios(ratios, horizon: float, n: int | None = None) -> TimeGrid:
+def build_from_ratios(ratios, horizon: float) -> TimeGrid:
     """Grid with the prescribed adjacent ratios, normalized to the horizon.
 
     len(ratios) = N-1 gives an N-step grid.  Steps are accumulated in log

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_rng
 from vsbdf3.allen_cahn import (
+    NewtonDivergenceError,
     SolverConfig,
     check_energy_condition,
     check_solvability,
@@ -66,6 +67,18 @@ def test_steady_states_need_no_newton_iterations():
             assert d.newton_iterations == 0
         for st in res.states:
             np.testing.assert_array_equal(st.values, res.states[0].values)
+
+
+@pytest.mark.parametrize("value", [math.nan, 1e200])
+def test_non_finite_residual_raises(value):
+    # NaN data gives a NaN residual before the first solve; 1e200 overflows
+    # u^3 to an infinite one.  Neither may pass as converged.
+    cfg = SolverConfig(build_uniform(3, 0.03), fourier_operator(8), 0.16, forcing="none",
+                       initial_data=lambda x, y: np.full_like(x, value))
+    with np.errstate(all="ignore"), pytest.raises(NewtonDivergenceError) as info:
+        run(cfg)
+    assert info.value.level == 1
+    assert not math.isfinite(info.value.residual)
 
 
 def test_newton_meets_tolerance_every_level():

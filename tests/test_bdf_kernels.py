@@ -10,8 +10,7 @@ from vsbdf3.bdf_kernels import (
     bdf3_weights,
     bdf_coefficients,
     doc_kernels,
-    scaled_bdf2_weights,
-    scaled_bdf3_weights,
+    ratio_weights,
 )
 from vsbdf3.time_grid import build_from_steps, build_uniform, random_bounded_grid
 
@@ -29,15 +28,17 @@ def test_scaled_weights_drop_the_step_factor():
     rng = make_rng(0)
     for _ in range(200):
         tau, rn, rm = rng.uniform(0.01, 3.0, size=3)
-        a = scaled_bdf3_weights(rn, rm)
+        beta = ratio_weights([rm, rn])[2]
+        a = beta / np.sqrt([1.0, rn, rn * rm])
         b = bdf3_weights(tau, rn, rm)
         # the defining relation A = Lambda^{1/2} B Lambda^{1/2} gives
         # a0 = tau_n b0, a1 = sqrt(tau_n tau_{n-1}) b1, a2 = sqrt(tau_n tau_{n-2}) b2
         assert a[0] == pytest.approx(tau * b[0], rel=1e-13)
         assert a[1] == pytest.approx(tau * b[1] / np.sqrt(rn), rel=1e-13)
         assert a[2] == pytest.approx(tau * b[2] / np.sqrt(rn * rm), rel=1e-13)
-    a0, a1 = scaled_bdf2_weights(1.0)
+    a0, a1, a2 = ratio_weights([1.0])[1]
     assert (a0, a1) == pytest.approx((1.5, -0.5), abs=1e-15)
+    assert a2 == 0.0
 
 
 def test_coefficient_dispatch_per_level():
@@ -93,12 +94,15 @@ def test_A_matches_directly_scaled_weights():
         g = certified_grid(rng, int(rng.integers(3, 40)))
         km = assemble_B(g)
         r = g.ratios
+        beta = ratio_weights(r)
         for n in range(3, g.n_steps + 1):
-            a0, a1, a2 = scaled_bdf3_weights(r[n - 2], r[n - 3])
+            a0 = beta[n - 1, 0]
+            a1 = beta[n - 1, 1] / np.sqrt(r[n - 2])
+            a2 = beta[n - 1, 2] / np.sqrt(r[n - 2] * r[n - 3])
             assert km.A[n - 1, n - 1] == pytest.approx(a0, rel=1e-13)
             assert km.A[n - 1, n - 2] == pytest.approx(a1, rel=1e-13)
             assert km.A[n - 1, n - 3] == pytest.approx(a2, rel=1e-13)
-        a0, a1 = scaled_bdf2_weights(r[0])
+        a0, a1 = beta[1, 0], beta[1, 1] / np.sqrt(r[0])
         assert km.A[1, 1] == pytest.approx(a0, rel=1e-13)
         assert km.A[1, 0] == pytest.approx(a1, rel=1e-13)
         assert km.A[0, 0] == pytest.approx(1.0, rel=1e-13)

@@ -128,6 +128,17 @@ def test_certify_exit_codes(tmp_path):
     assert main(["--quiet", "certify", "--grid", str(good)]) == 0
     assert main(["--quiet", "certify", "--grid", str(bad)]) == 1
     assert main(["--quiet", "certify", "--grid", str(tmp_path / "nope.json")]) == 2
+    negative = tmp_path / "negative.json"
+    negative.write_text('{"T": 0.1, "steps": [0.2, -0.1]}')
+    not_json = tmp_path / "not.json"
+    not_json.write_text("steps: 0.1, 0.2\n")
+    nan_horizon = tmp_path / "nan.json"
+    nan_horizon.write_text('{"T": NaN, "steps": [0.1, 0.2]}')
+    for path in (negative, not_json, nan_horizon):
+        assert main(["--quiet", "certify", "--grid", str(path)]) == 2
+        assert main(["--quiet", "kernels", "--grid", str(path),
+                     "--out", str(tmp_path / "mats")]) == 2
+        assert not (tmp_path / "mats").exists()
 
 
 def test_validate_lemmas_quick_resolution():
@@ -151,6 +162,15 @@ def test_energy_command_validates_arguments():
                  "--steps", "5"]) == 2
     assert main(["--quiet", "energy", "--eps2", "0.16", "--tau", "0.01",
                  "--steps", "0"]) == 2
+
+
+def test_energy_command_reports_numerical_failure(capsys):
+    # a subnormal step overflows b0 = 1/tau, so the first residual is NaN
+    with np.errstate(all="ignore"):
+        rc = main(["--quiet", "energy", "--eps2", "0.16", "--tau", "1e-320",
+                   "--steps", "3", "--m", "8"])
+    assert rc == 3
+    assert "Newton did not converge at level 1" in capsys.readouterr().err
 
 
 def test_kernels_dump(tmp_path):

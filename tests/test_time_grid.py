@@ -150,6 +150,12 @@ def test_from_json_rejects_inconsistent_horizon():
         TimeGrid.from_json('{"T": 2.0, "steps": [0.5, 0.5]}')
 
 
+@pytest.mark.parametrize("horizon", ["NaN", "Infinity", "-Infinity"])
+def test_from_json_rejects_non_finite_horizon(horizon):
+    with pytest.raises(ValueError, match="finite"):
+        TimeGrid.from_json(f'{{"T": {horizon}, "steps": [0.1, 0.2]}}')
+
+
 def test_save_and_load_grid(tmp_path):
     g = build_random(25, 1.0, seed=2)
     p = save_grid(g, tmp_path / "grid.json")
