@@ -4,9 +4,19 @@ Each level solves
 
     b0*u - eps2*L*u + u^3 - u = b0*u_prev - b1*du_prev - b2*du_prev2 + g
 
-by a full Newton iteration: the Jacobian b0*I - eps2*L + diag(3u^2 - 1) is
-rebuilt and LU-factorized every iteration, the initial iterate is the
-previous time level, and convergence is max-norm residual <= newton_tol.
+by a full Newton iteration from the previous time level.  Nothing is
+assembled: the residual applies L through the operator's tensor structure,
+and each correction solves with J = (b0 - 1)*I - eps2*L + diag(3u^2) by
+restarted GMRES, right-preconditioned by the exact fast-diagonalisation
+inverse of (b0 - 1 + c)*I - eps2*L, c the midpoint of the range of 3u^2.
+The inner solve stops once its residual is below max(1e-3*newton_tol,
+1e-13*|res|) (inexact Newton, Dembo, Eisenstat & Steihaug 1982): three
+orders below the Newton tolerance, so the outer iteration behaves as with
+an exact solve.  An inner solve that does not converge within its iteration
+cap raises SingularJacobianError.
+
+Convergence is max-norm residual <= max(newton_tol, 4*eps*|rhs|): below
+that the residual is rounding noise of b0*u, which is large on tiny steps.
 The residual is checked before the first solve, so exact steady states cost
 zero iterations; a non-finite residual is a divergence, never convergence.
 
@@ -64,11 +74,21 @@ class NewtonDivergenceError(RuntimeError):
 
 
 class SingularJacobianError(RuntimeError):
-    """The Newton linear system was singular to working precision."""
+    """The Newton linear system was singular to working precision.
+
+    Raised when the inner GMRES solve breaks down or does not reach its
+    tolerance within _INNER_MAX_ITER iterations.
+    """
 
     def __init__(self, level: int):
         self.level = level
         super().__init__(f"singular Jacobian at level {level}")
+
+
+# Restart length and total iteration cap of the inner GMRES solve.
+_INNER_RESTART = 50
+_INNER_MAX_ITER = 500
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -103,6 +123,8 @@ class StepDiagnostics:
     solvability_ok: bool
     energy_condition_ok: bool
     energy_value: float
+    # GMRES iterations of each Newton correction, in order
+    inner_iterations: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -171,8 +193,11 @@ def step(config: SolverConfig, history, n: int) -> tuple[FieldState, StepDiagnos
     """Advance to level n given FieldStates for levels 0..n-1."""
     if len(history) != n:
         raise ValueError(f"history must hold levels 0..{n - 1}, got {len(history)} states")
-    grid, op = config.grid, config.operator
+    grid, op, eps2 = config.grid, config.operator, config.eps2
     c = bdf_coefficients(grid, n)
+    if not all(math.isfinite(b) for b in (c.b0, c.b1, c.b2)):
+        raise ValueError(f"level {n}: step {grid.step(n)!r} gives non-finite kernel "
+                         f"weights b0, b1, b2 = {c.b0!r}, {c.b1!r}, {c.b2!r}")
     t_n = float(grid.levels[n])
     u_prev = history[n - 1].values
 
@@ -183,41 +208,104 @@ def step(config: SolverConfig, history, n: int) -> tuple[FieldState, StepDiagnos
         rhs = rhs - c.b2 * (history[n - 2].values - history[n - 3].values)
     if config.forcing == "manufactured":
         X, Y = op.mesh
-        rhs = rhs + forcing(X, Y, t_n, config.eps2)
+        rhs = rhs + forcing(X, Y, t_n, eps2)
+    tol = max(config.newton_tol, 4.0 * _EPS * float(np.max(np.abs(rhs))))
 
     u = u_prev.copy()
-    res = c.b0 * u - config.eps2 * (op.L @ u) + u**3 - u - rhs
+    res = c.b0 * u - eps2 * op.laplacian(u) + u**3 - u - rhs
     res_norm = float(np.max(np.abs(res)))
-    iterations = 0
-    eye = np.eye(op.n_unknowns)
+    inner = []
     # written so that a NaN residual stays in the loop and raises
-    while not res_norm <= config.newton_tol:
-        if not math.isfinite(res_norm) or iterations >= config.newton_max_iter:
-            raise NewtonDivergenceError(n, res_norm, iterations)
-        jac = -config.eps2 * op.L + (c.b0 - 1.0) * eye
-        jac[np.diag_indices_from(jac)] += 3.0 * u * u
-        try:
-            du = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(n) from exc
+    while not res_norm <= tol:
+        if not math.isfinite(res_norm) or len(inner) >= config.newton_max_iter:
+            raise NewtonDivergenceError(n, res_norm, len(inner))
+        inner_tol = max(1e-3 * config.newton_tol, 1e-13 * res_norm)
+        du, its = _newton_correction(op, eps2, c.b0 - 1.0, u, res, inner_tol, n)
         u = u + du
-        res = c.b0 * u - config.eps2 * (op.L @ u) + u**3 - u - rhs
+        res = c.b0 * u - eps2 * op.laplacian(u) + u**3 - u - rhs
         res_norm = float(np.max(np.abs(res)))
-        iterations += 1
+        inner.append(its)
 
     tau_n = grid.step(n)
     diag = StepDiagnostics(
         level=n,
         time=t_n,
-        newton_iterations=iterations,
+        newton_iterations=len(inner),
         final_residual=res_norm,
         # b0 > 1 is the unique-solvability condition at every level; the
         # energy condition additionally caps the raw step at 2*gamma.
         solvability_ok=c.b0 > 1.0,
         energy_condition_ok=(c.b0 >= 1.0 and tau_n <= 2.0 * GAMMA),
-        energy_value=energy(op, u, config.eps2),
+        energy_value=energy(op, u, eps2),
+        inner_iterations=tuple(inner),
     )
     return FieldState(values=u, time=t_n), diag
+
+
+def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.ndarray,
+                       res: np.ndarray, tol: float, level: int) -> tuple[np.ndarray, int]:
+    """Solve (shift*I - eps2*L + diag(3u^2)) du = -res to 2-norm residual <= tol.
+
+    Restarted GMRES with right preconditioner P = (shift + c)*I - eps2*L,
+    c the midpoint of the range of 3u^2, applied exactly by the operator's
+    fast diagonalisation; the least-squares problem is kept triangular by
+    Givens rotations, whose last right-hand-side entry is the residual norm.
+    Returns du and the number of iterations.
+    """
+    c3 = 3.0 * u * u
+    sigma = shift + 0.5 * (float(c3.max()) + float(c3.min()))
+    diag = shift + c3
+    du = np.zeros_like(res)
+    r = -res
+    beta = math.sqrt(float(r @ r))
+    its = 0
+    while beta > tol:
+        if its >= _INNER_MAX_ITER:
+            raise SingularJacobianError(level)
+        m = min(_INNER_RESTART, _INNER_MAX_ITER - its)
+        V = np.empty((m + 1, r.size))
+        H = np.zeros((m + 1, m))
+        cs, sn = np.empty(m), np.empty(m)
+        g = np.zeros(m + 1)
+        g[0] = beta
+        V[0] = r / beta
+        for j in range(m):
+            z = op.solve_shifted(sigma, eps2, V[j])
+            w = diag * z - eps2 * op.laplacian(z)
+            # classical Gram-Schmidt, applied twice for orthogonality
+            h = V[: j + 1] @ w
+            w -= h @ V[: j + 1]
+            h2 = V[: j + 1] @ w
+            w -= h2 @ V[: j + 1]
+            H[: j + 1, j] = h + h2
+            hn = math.sqrt(float(w @ w))
+            H[j + 1, j] = hn
+            for i in range(j):
+                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+            d = math.hypot(H[j, j], hn)
+            if not (math.isfinite(d) and d > 0.0):
+                raise SingularJacobianError(level)
+            cs[j], sn[j] = H[j, j] / d, hn / d
+            H[j, j] = d
+            g[j + 1] = -sn[j] * g[j]
+            g[j] *= cs[j]
+            its += 1
+            done = abs(g[j + 1]) <= tol
+            if done or j + 1 == m:
+                break
+            V[j + 1] = w / hn
+        k = j + 1
+        y = np.empty(k)
+        for i in range(k - 1, -1, -1):
+            y[i] = (g[i] - H[i, i + 1 : k] @ y[i + 1 : k]) / H[i, i]
+        du += op.solve_shifted(sigma, eps2, y @ V[:k])
+        if done:
+            break
+        # restart from the true residual
+        r = -res - (diag * du - eps2 * op.laplacian(du))
+        beta = math.sqrt(float(r @ r))
+    return du, its
 
 
 def run(config: SolverConfig) -> RunResult:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .time_grid import TimeGrid
+from .time_grid import TimeGrid, _ro
 
 __all__ = [
     "BdfCoefficients",
@@ -167,8 +167,3 @@ def apply_D3(grid: TimeGrid, history) -> float | np.ndarray:
     if n >= 3:
         out = out + c.b2 * (history[n - 2] - history[n - 3])
     return out
-
-
-def _ro(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a

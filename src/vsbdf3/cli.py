@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,7 +90,7 @@ def _case_grid(case: str, n: int, seed: int | None):
     raise ValueError(f"unknown case {case!r}")
 
 
-def run_convergence(case, eps2_list, n_list, m, seed=None, threads=1):
+def run_convergence(case, eps2_list, n_list, m, seed=None):
     """One manufactured-solution run per (eps2, N); a report per eps2.
 
     Case "1" uses the alternating grid, case "2" a random grid drawn from
@@ -103,19 +102,10 @@ def run_convergence(case, eps2_list, n_list, m, seed=None, threads=1):
         raise ValueError("case 2 needs a seed")
     operator = chebyshev_operator(m)
     grids = {n: _case_grid(case, n, seed) for n in n_list}
-    jobs = [(eps2, n) for eps2 in eps2_list for n in n_list]
-
-    def job(args):
-        eps2, n = args
-        config = SolverConfig(grid=grids[n], operator=operator, eps2=eps2)
-        return run(config).final_error
-
     start = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            errors = dict(zip(jobs, pool.map(job, jobs)))
-    else:
-        errors = {j: job(j) for j in jobs}
+    errors = {(eps2, n): run(SolverConfig(grid=grids[n], operator=operator,
+                                          eps2=eps2)).final_error
+              for eps2 in eps2_list for n in n_list}
     wall = time.perf_counter() - start
 
     reports = []
@@ -207,8 +197,7 @@ def cmd_convergence(args) -> int:
         print("error: --case 2 needs --seed", file=sys.stderr)
         return 2
     try:
-        reports = run_convergence(args.case, args.eps2, args.n, args.m,
-                                  seed=args.seed, threads=args.threads)
+        reports = run_convergence(args.case, args.eps2, args.n, args.m, seed=args.seed)
     except (NewtonDivergenceError, SingularJacobianError) as exc:
         print(f"error: case {args.case} run failed: {exc}", file=sys.stderr)
         return 3
@@ -358,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Variable-step three-step integration studies for the Allen-Cahn equation.",
     )
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for independent runs (default 1)")
     sub = p.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("convergence", help="manufactured-solution error table")

@@ -11,16 +11,25 @@ Two operator families:
   standard trigonometric differentiation matrices (even M) and uniform
   quadrature weights h^2.
 
-Unknowns are ordered row-major with y slow and x fast.
+Unknowns are ordered row-major with y slow and x fast, so a flattened field
+reshaped to (k, k) holds U[y, x].  Both families are Kronecker sums of one
+pair of 1-D matrices d1, d2 (k x k), and every operator acts through that
+structure in O(k^3): L U = U d2^T + d2 U, Gx U = U d1^T, Gy U = d1 U.  One
+fast diagonalisation d2 = V diag(lambda) V^{-1} (Lynch, Rice & Thomas 1964)
+turns sigma*I - eps2*L into the diagonal sigma - eps2*(lambda_i + lambda_j)
+in the basis V (x) V, so its inverse also costs O(k^3).  The dense k^2 x k^2
+matrices L, Gx and Gy are built on first access, as test oracles only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from .time_grid import _ro
 
 __all__ = [
     "SpectralOperator",
@@ -39,18 +48,32 @@ __all__ = [
 class SpectralOperator:
     """Discrete Laplacian, gradient components and quadrature on the unknowns.
 
-    nodes_x/nodes_y are the 1-D unknown coordinates; L, Gx, Gy act on
-    row-major flattened fields; w holds the area quadrature weight of each
-    unknown.  Arrays are read-only.
+    nodes_x/nodes_y are the 1-D unknown coordinates, d1/d2 the 1-D first-
+    and second-derivative matrices acting along either axis, and w holds the
+    area quadrature weight of each unknown.  Arrays are read-only.  The
+    methods take and return row-major flattened fields.
     """
 
     kind: str
     nodes_x: np.ndarray
     nodes_y: np.ndarray
-    L: np.ndarray
-    Gx: np.ndarray
-    Gy: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
     w: np.ndarray
+    # fast diagonalisation of d2: eigenvectors, their inverse, and the
+    # eigenvalue sums lambda_i + lambda_j of L in the basis V (x) V
+    _vecs: np.ndarray = field(init=False, repr=False, compare=False)
+    _vecs_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    _eig_sums: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lam, vecs = np.linalg.eig(self.d2)
+        if np.max(np.abs(lam.imag)) > 1e-10 * np.max(np.abs(lam.real)):
+            raise ValueError("d2 has a complex spectrum; fast diagonalisation needs a real one")
+        vecs, lam = vecs.real, lam.real
+        object.__setattr__(self, "_vecs", _ro(vecs))
+        object.__setattr__(self, "_vecs_inv", _ro(np.linalg.inv(vecs)))
+        object.__setattr__(self, "_eig_sums", _ro(lam[:, None] + lam[None, :]))
 
     @property
     def n_unknowns(self) -> int:
@@ -61,13 +84,42 @@ class SpectralOperator:
         """Flattened (X, Y) coordinates of the unknowns, y slow, x fast."""
         X = np.tile(self.nodes_x, self.nodes_y.size)
         Y = np.repeat(self.nodes_y, self.nodes_x.size)
-        X.flags.writeable = False
-        Y.flags.writeable = False
-        return X, Y
+        return _ro(X), _ro(Y)
 
     @property
     def domain_area(self) -> float:
         return float(self.w.sum())
+
+    def laplacian(self, v: np.ndarray) -> np.ndarray:
+        """L v."""
+        U = v.reshape(self.d2.shape)
+        return (U @ self.d2.T + self.d2 @ U).ravel()
+
+    def gradient(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Gx v, Gy v)."""
+        U = v.reshape(self.d1.shape)
+        return (U @ self.d1.T).ravel(), (self.d1 @ U).ravel()
+
+    def solve_shifted(self, sigma: float, eps2: float, r: np.ndarray) -> np.ndarray:
+        """(sigma*I - eps2*L)^{-1} r by fast diagonalisation."""
+        V, Vinv = self._vecs, self._vecs_inv
+        R = Vinv @ r.reshape(V.shape) @ Vinv.T
+        return (V @ (R / (sigma - eps2 * self._eig_sums)) @ V.T).ravel()
+
+    # dense k^2 x k^2 oracles, built on first access
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        eye = np.eye(self.d2.shape[0])
+        return _ro(np.kron(eye, self.d2) + np.kron(self.d2, eye))
+
+    @cached_property
+    def Gx(self) -> np.ndarray:
+        return _ro(np.kron(np.eye(self.d1.shape[0]), self.d1))
+
+    @cached_property
+    def Gy(self) -> np.ndarray:
+        return _ro(np.kron(self.d1, np.eye(self.d1.shape[0])))
 
 
 @dataclass(frozen=True)
@@ -132,20 +184,14 @@ def chebyshev_operator(m: int) -> SpectralOperator:
     d2 = D2[inner, inner]
     d1 = D[inner, inner]
     nodes = x[inner].copy()
-    eye = np.eye(m - 1)
-    L = np.kron(eye, d2) + np.kron(d2, eye)
-    Gx = np.kron(eye, d1)
-    Gy = np.kron(d1, eye)
     w1 = open_chebyshev_weights(m)
-    w = np.kron(w1, w1)
     return SpectralOperator(
         kind="chebyshev",
         nodes_x=_ro(nodes),
         nodes_y=_ro(nodes.copy()),
-        L=_ro(L),
-        Gx=_ro(Gx),
-        Gy=_ro(Gy),
-        w=_ro(w),
+        d1=_ro(d1.copy()),
+        d2=_ro(d2.copy()),
+        w=_ro(np.kron(w1, w1)),
     )
 
 
@@ -163,19 +209,13 @@ def fourier_operator(m: int) -> SpectralOperator:
         D2 = -0.5 * sign / np.sin(half) ** 2
     np.fill_diagonal(D1, 0.0)
     np.fill_diagonal(D2, -np.pi**2 / (3.0 * h**2) - 1.0 / 6.0)
-    eye = np.eye(m)
-    L = np.kron(eye, D2) + np.kron(D2, eye)
-    Gx = np.kron(eye, D1)
-    Gy = np.kron(D1, eye)
-    w = np.full(m * m, h * h)
     return SpectralOperator(
         kind="fourier",
         nodes_x=_ro(nodes),
         nodes_y=_ro(nodes.copy()),
-        L=_ro(L),
-        Gx=_ro(Gx),
-        Gy=_ro(Gy),
-        w=_ro(w),
+        d1=_ro(D1),
+        d2=_ro(D2),
+        w=_ro(np.full(m * m, h * h)),
     )
 
 
@@ -205,13 +245,7 @@ def l2_norm(op: SpectralOperator, f, weighting: str = "quadrature") -> float:
 def energy(op: SpectralOperator, f, eps2: float) -> float:
     """Discrete free energy: (eps2/2)*||grad u||^2 + (1/4)*||u^2 - 1||^2."""
     v = _values(op, f)
-    gx = op.Gx @ v
-    gy = op.Gy @ v
+    gx, gy = op.gradient(v)
     grad2 = float(op.w @ (gx * gx + gy * gy))
     bulk = v * v - 1.0
     return 0.5 * eps2 * grad2 + 0.25 * float(op.w @ (bulk * bulk))
-
-
-def _ro(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a

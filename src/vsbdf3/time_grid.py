@@ -2,8 +2,7 @@
 
 The step sizes are the stored truth; levels and adjacent-step ratios are
 derived views.  All constructors normalize the steps to sum to the requested
-horizon, and grids are immutable so they can be shared freely between runs
-and worker threads.
+horizon, and grids are immutable so they can be shared freely between runs.
 """
 
 from __future__ import annotations
@@ -58,8 +57,7 @@ class TimeGrid:
         """t_0 .. t_N (length N+1, t_0 = 0)."""
         out = np.zeros(self.n_steps + 1)
         np.cumsum(self.steps, out=out[1:])
-        out.flags.writeable = False
-        return out
+        return _ro(out)
 
     @cached_property
     def ratios(self) -> tuple:
@@ -226,3 +224,9 @@ def _check_build_args(n: int, horizon: float) -> None:
         raise ValueError(f"step count must be >= 1, got {n}")
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+
+
+def _ro(a: np.ndarray) -> np.ndarray:
+    """Mark an array read-only and return it."""
+    a.flags.writeable = False
+    return a

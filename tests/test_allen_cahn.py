@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import make_rng
+from vsbdf3 import allen_cahn
 from vsbdf3.allen_cahn import (
     NewtonDivergenceError,
+    SingularJacobianError,
     SolverConfig,
     check_energy_condition,
     check_solvability,
@@ -21,7 +24,7 @@ from vsbdf3.allen_cahn import (
 )
 from vsbdf3.bdf_kernels import bdf3_weights
 from vsbdf3.spectral import chebyshev_operator, fourier_operator, l2_norm
-from vsbdf3.time_grid import build_uniform, random_bounded_grid
+from vsbdf3.time_grid import build_from_steps, build_uniform, random_bounded_grid
 
 
 def test_exact_solution_and_forcing_values():
@@ -79,6 +82,64 @@ def test_non_finite_residual_raises(value):
         run(cfg)
     assert info.value.level == 1
     assert not math.isfinite(info.value.residual)
+
+
+def test_overflowing_leading_weight_is_rejected_before_arithmetic():
+    cfg = SolverConfig(build_from_steps([1e-320] * 3), fourier_operator(8), 0.16,
+                       forcing="none")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="level 1: .* non-finite kernel weights"):
+            run(cfg)
+
+
+def _large_step_config(op, eps2):
+    # tau = 1.8 puts b0 - 1 below zero at levels 1-2 and near zero at 3-4,
+    # so the Newton matrix is indefinite or close to singular there
+    return SolverConfig(build_uniform(4, 7.2), op, eps2, forcing="none",
+                        initial_data=lambda x, y: 1.5 * np.sin(3 * x) * np.cos(2 * y))
+
+
+@pytest.mark.parametrize("kind, m, eps2, counts", [
+    ("fourier", 16, 0.01, [6, 4, 3, 3]),
+    ("fourier", 16, 0.16, [5, 4, 3, 2]),
+    ("chebyshev", 12, 0.01, [7, 5, 4, 3]),
+    ("chebyshev", 12, 0.16, [5, 4, 3, 2]),
+])
+def test_large_steps_keep_the_dense_newton_counts(kind, m, eps2, counts):
+    # counts pinned from a dense LU Newton solve of the same problems
+    op = {"fourier": fourier_operator, "chebyshev": chebyshev_operator}[kind](m)
+    res = run(_large_step_config(op, eps2))
+    assert [d.newton_iterations for d in res.diagnostics] == counts
+    for d in res.diagnostics:
+        assert d.final_residual <= 1e-10
+        assert len(d.inner_iterations) == d.newton_iterations
+        assert all(k >= 1 for k in d.inner_iterations)
+
+
+def test_short_gmres_restarts_keep_the_newton_counts(monkeypatch):
+    monkeypatch.setattr(allen_cahn, "_INNER_RESTART", 3)
+    res = run(_large_step_config(chebyshev_operator(12), 0.01))
+    assert [d.newton_iterations for d in res.diagnostics] == [7, 5, 4, 3]
+    assert max(k for d in res.diagnostics for k in d.inner_iterations) > 3
+
+
+def test_non_converging_inner_solve_raises(monkeypatch):
+    # the first correction needs more GMRES iterations than this cap allows
+    monkeypatch.setattr(allen_cahn, "_INNER_MAX_ITER", 4)
+    with pytest.raises(SingularJacobianError) as info:
+        run(_large_step_config(chebyshev_operator(12), 0.01))
+    assert info.value.level == 1
+
+
+def test_tiny_step_converges_at_the_rounding_floor():
+    # b0 = 1/tau ~ 3e6 at level 4 puts the rounding noise of b0*u above
+    # 1e-10; the absolute test alone made Newton fail there
+    steps = [0.05] * 3 + [3e-7] + [0.05] * 3
+    res = run(SolverConfig(build_from_steps(steps), chebyshev_operator(8), eps2=0.16))
+    assert [d.newton_iterations for d in res.diagnostics] == [2, 2, 2, 1, 2, 2, 2]
+    assert res.diagnostics[3].final_residual <= 4.0 * np.finfo(float).eps * 4e6
+    assert res.final_error < 2e-4
 
 
 def test_newton_meets_tolerance_every_level():

@@ -1,0 +1,68 @@
+"""Property tests: the matrix-free operators and the Krylov Newton correction.
+
+Operators are drawn from both families at random resolution (Chebyshev
+m in 2..14, Fourier m in 4..16) and fields from a seeded generator.  The
+references are the dense Kronecker-product oracles op.L, op.Gx and op.Gy
+and numpy.linalg.solve on the dense Newton matrix.
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from vsbdf3.allen_cahn import _newton_correction  # noqa: E402
+from vsbdf3.spectral import chebyshev_operator, fourier_operator  # noqa: E402
+
+operators = st.one_of(
+    st.integers(min_value=2, max_value=14).map(chebyshev_operator),
+    st.integers(min_value=2, max_value=8).map(lambda h: fourier_operator(2 * h)),
+)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _field(seed, n):
+    return np.random.Generator(np.random.PCG64(seed)).standard_normal(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operators, seeds)
+def test_tensor_laplacian_and_gradient_match_dense_oracles(op, seed):
+    v = _field(seed, op.n_unknowns)
+    # rounding scales with the largest absolute row sum times the field
+    scale = np.abs(op.L).sum(1).max() * np.abs(v).max()
+    np.testing.assert_allclose(op.laplacian(v), op.L @ v, rtol=0, atol=1e-13 * scale)
+    gx, gy = op.gradient(v)
+    scale = np.abs(op.d1).sum(1).max() * np.abs(v).max()
+    np.testing.assert_allclose(gx, op.Gx @ v, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(gy, op.Gy @ v, rtol=0, atol=1e-13 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operators, seeds, st.floats(min_value=1e-3, max_value=1e7),
+       st.floats(min_value=1e-3, max_value=1.0))
+def test_fast_diagonalisation_inverts_the_shifted_laplacian(op, seed, sigma, eps2):
+    r = _field(seed, op.n_unknowns)
+    dense = np.linalg.solve(sigma * np.eye(op.n_unknowns) - eps2 * op.L, r)
+    x = op.solve_shifted(sigma, eps2, r)
+    np.testing.assert_allclose(x, dense, rtol=0, atol=1e-10 * np.abs(dense).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(operators, seeds, st.floats(min_value=0.0, max_value=2.0),
+       st.floats(min_value=1e-3, max_value=1.0),
+       st.floats(min_value=-3.0, max_value=7.0))
+def test_newton_correction_matches_the_dense_solve(op, seed, amplitude, eps2, log_shift):
+    # b0 in [1 + 1e-3, 1 + 1e7]; u has |u| <= amplitude <= 2 at every node
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = op.n_unknowns
+    u = amplitude * rng.uniform(-1.0, 1.0, n)
+    res = rng.standard_normal(n)
+    shift = 10.0**log_shift
+    jac = shift * np.eye(n) - eps2 * op.L + np.diag(3.0 * u * u)
+    dense = np.linalg.solve(jac, -res)
+    tol = 1e-13 * np.abs(res).max()
+    du, iterations = _newton_correction(op, eps2, shift, u, res, tol, level=1)
+    assert iterations >= 1
+    np.testing.assert_allclose(du, dense, rtol=0, atol=1e-9 * np.abs(dense).max())

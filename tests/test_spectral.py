@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vsbdf3.spectral import (
+    SpectralOperator,
     chebyshev_diff_matrix,
     chebyshev_nodes,
     chebyshev_operator,
@@ -94,9 +95,12 @@ def test_chebyshev_laplacian_and_gradient_exact_on_polynomial():
     x, y = op.mesh
     u = (1 - x**2) * (1 - y**2)
     lap = -2 * (1 - y**2) - 2 * (1 - x**2)
-    np.testing.assert_allclose(op.L @ u, lap, atol=1e-9)
-    np.testing.assert_allclose(op.Gx @ u, -2 * x * (1 - y**2), atol=1e-10)
-    np.testing.assert_allclose(op.Gy @ u, -2 * y * (1 - x**2), atol=1e-10)
+    gx, gy = op.gradient(u)
+    for got_lap, got_gx, got_gy in ((op.laplacian(u), gx, gy),
+                                    (op.L @ u, op.Gx @ u, op.Gy @ u)):
+        np.testing.assert_allclose(got_lap, lap, atol=1e-9)
+        np.testing.assert_allclose(got_gx, -2 * x * (1 - y**2), atol=1e-10)
+        np.testing.assert_allclose(got_gy, -2 * y * (1 - x**2), atol=1e-10)
 
 
 def test_chebyshev_interior_restriction_encodes_boundary_zero():
@@ -110,11 +114,25 @@ def test_fourier_operator_trigonometric_eigenfunctions():
     op = fourier_operator(16)
     x, y = op.mesh
     u = np.sin(x)
-    np.testing.assert_allclose(op.L @ u, -u, atol=1e-12)
-    np.testing.assert_allclose(op.Gx @ u, np.cos(x), atol=1e-12)
-    np.testing.assert_allclose(op.Gy @ u, 0.0, atol=1e-12)
     v = np.sin(3 * x) * np.cos(2 * y)
-    np.testing.assert_allclose(op.L @ v, -13 * v, atol=1e-10)
+    gx, gy = op.gradient(u)
+    for lap, got_gx, got_gy in ((op.laplacian, gx, gy),
+                                (op.L.__matmul__, op.Gx @ u, op.Gy @ u)):
+        np.testing.assert_allclose(lap(u), -u, atol=1e-12)
+        np.testing.assert_allclose(got_gx, np.cos(x), atol=1e-12)
+        np.testing.assert_allclose(got_gy, 0.0, atol=1e-12)
+        np.testing.assert_allclose(lap(v), -13 * v, atol=1e-10)
+    # sin 3x cos 2y is an eigenfunction, so the shifted inverse just divides
+    np.testing.assert_allclose(op.solve_shifted(2.0, 0.16, v), v / (2.0 + 0.16 * 13),
+                               atol=1e-12)
+
+
+def test_operator_rejects_a_complex_second_derivative_spectrum():
+    # a rotation has eigenvalues +-i: no real fast diagonalisation exists
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    nodes = np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match="complex spectrum"):
+        SpectralOperator("custom", nodes, nodes, np.eye(2), rot, np.ones(4))
 
 
 def test_fourier_operator_requires_even_resolution():
