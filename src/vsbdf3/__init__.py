@@ -21,16 +21,13 @@ from .allen_cahn import (
     step,
 )
 from .bdf_kernels import (
-    BdfCoefficients,
     KernelMatrices,
     apply_D3,
     assemble_B,
-    bdf_coefficients,
     doc_kernels,
+    kernel_weights,
 )
 from .ratio_analysis import (
-    CONSTANTS,
-    AnalysisConstants,
     EigenConvergenceError,
     PowerIterationError,
     SylvesterTrace,

@@ -4,11 +4,14 @@ Each level solves
 
     b0*u - eps2*L*u + u^3 - u = b0*u_prev - b1*du_prev - b2*du_prev2 + g
 
-by a full Newton iteration from the previous time level.  Nothing is
-assembled: the residual applies L through the operator's tensor structure,
-and each correction solves with J = (b0 - 1)*I - eps2*L + diag(3u^2) by
-restarted GMRES, right-preconditioned by the exact fast-diagonalisation
-inverse of (b0 - 1 + c)*I - eps2*L, c the midpoint of the range of 3u^2.
+by a full Newton iteration from the previous time level.  b0, b1, b2 are
+the level's row of the grid's kernel-weight table (bdf_kernels), taken
+once per configuration, and the known history terms are apply_D3's sum.
+Nothing is assembled: the residual applies L through the operator's
+tensor structure, and each correction solves with J = (b0 - 1)*I -
+eps2*L + diag(3u^2) by restarted GMRES, right-preconditioned by the exact
+fast-diagonalisation inverse of (b0 - 1 + c)*I - eps2*L, c the midpoint of
+the range of 3u^2.
 The inner solve stops once its residual is below max(1e-3*newton_tol,
 1e-13*|res|) (inexact Newton, Dembo, Eisenstat & Steihaug 1982): three
 orders below the Newton tolerance, so the outer iteration behaves as with
@@ -30,11 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .bdf_kernels import bdf_coefficients, apply_D3
+from .bdf_kernels import apply_D3, bdf3_weights, kernel_weights
 from .ratio_analysis import GAMMA
 from .spectral import FieldState, SpectralOperator, energy, l2_norm
 from .time_grid import TimeGrid
@@ -112,6 +116,11 @@ class SolverConfig:
             raise ValueError(f"newton_tol must be positive, got {self.newton_tol!r}")
         if self.newton_max_iter < 1:
             raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
+
+    @cached_property
+    def kernel_weights(self) -> np.ndarray:
+        """The grid's kernel-weight table, built on first use and read by every level."""
+        return kernel_weights(self.grid)
 
 
 @dataclass(frozen=True)
@@ -191,28 +200,27 @@ def initial_state(config: SolverConfig) -> FieldState:
 
 def step(config: SolverConfig, history, n: int) -> tuple[FieldState, StepDiagnostics]:
     """Advance to level n given FieldStates for levels 0..n-1."""
+    grid, op, eps2 = config.grid, config.operator, config.eps2
+    if not 1 <= n <= grid.n_steps:
+        raise ValueError(f"level {n} outside 1..{grid.n_steps}")
     if len(history) != n:
         raise ValueError(f"history must hold levels 0..{n - 1}, got {len(history)} states")
-    grid, op, eps2 = config.grid, config.operator, config.eps2
-    c = bdf_coefficients(grid, n)
-    if not all(math.isfinite(b) for b in (c.b0, c.b1, c.b2)):
-        raise ValueError(f"level {n}: step {grid.step(n)!r} gives non-finite kernel "
-                         f"weights b0, b1, b2 = {c.b0!r}, {c.b1!r}, {c.b2!r}")
+    weights = config.kernel_weights[n - 1]
+    b0 = float(weights[0])
     t_n = float(grid.levels[n])
-    u_prev = history[n - 1].values
+    known = [state.values for state in history[-3:]]
+    u_prev = known[-1]
 
-    rhs = c.b0 * u_prev
-    if n >= 2:
-        rhs = rhs - c.b1 * (u_prev - history[n - 2].values)
-    if n >= 3:
-        rhs = rhs - c.b2 * (history[n - 2].values - history[n - 3].values)
+    # D3 with u^n replaced by u^(n-1) is the part of the derivative that the
+    # history fixes: b1*du^(n-1) + b2*du^(n-2)
+    rhs = b0 * u_prev - apply_D3(weights, known + [u_prev])
     if config.forcing == "manufactured":
         X, Y = op.mesh
         rhs = rhs + forcing(X, Y, t_n, eps2)
     tol = max(config.newton_tol, 4.0 * _EPS * float(np.max(np.abs(rhs))))
 
     u = u_prev.copy()
-    res = c.b0 * u - eps2 * op.laplacian(u) + u**3 - u - rhs
+    res = b0 * u - eps2 * op.laplacian(u) + u**3 - u - rhs
     res_norm = float(np.max(np.abs(res)))
     inner = []
     # written so that a NaN residual stays in the loop and raises
@@ -220,9 +228,9 @@ def step(config: SolverConfig, history, n: int) -> tuple[FieldState, StepDiagnos
         if not math.isfinite(res_norm) or len(inner) >= config.newton_max_iter:
             raise NewtonDivergenceError(n, res_norm, len(inner))
         inner_tol = max(1e-3 * config.newton_tol, 1e-13 * res_norm)
-        du, its = _newton_correction(op, eps2, c.b0 - 1.0, u, res, inner_tol, n)
+        du, its = _newton_correction(op, eps2, b0 - 1.0, u, res, inner_tol, n)
         u = u + du
-        res = c.b0 * u - eps2 * op.laplacian(u) + u**3 - u - rhs
+        res = b0 * u - eps2 * op.laplacian(u) + u**3 - u - rhs
         res_norm = float(np.max(np.abs(res)))
         inner.append(its)
 
@@ -234,8 +242,8 @@ def step(config: SolverConfig, history, n: int) -> tuple[FieldState, StepDiagnos
         final_residual=res_norm,
         # b0 > 1 is the unique-solvability condition at every level; the
         # energy condition additionally caps the raw step at 2*gamma.
-        solvability_ok=c.b0 > 1.0,
-        energy_condition_ok=(c.b0 >= 1.0 and tau_n <= 2.0 * GAMMA),
+        solvability_ok=b0 > 1.0,
+        energy_condition_ok=(b0 >= 1.0 and tau_n <= 2.0 * GAMMA),
         energy_value=energy(op, u, eps2),
         inner_iterations=tuple(inner),
     )
@@ -334,10 +342,12 @@ def run(config: SolverConfig) -> RunResult:
 
 
 def solvability_bound(r_n: float, r_nm1: float) -> float:
-    """Largest tau_n with a strictly convex level functional (three-step kernel)."""
-    return (1.0 + 2.0 * r_n + r_nm1 * (1.0 + 4.0 * r_n + 3.0 * r_n**2)) / (
-        (1.0 + r_n) * (1.0 + r_nm1 + r_n * r_nm1)
-    )
+    """Largest tau_n with a strictly convex level functional (three-step kernel).
+
+    That is the ratio part beta_0 of the leading weight: b0 = beta_0 / tau_n
+    exceeds 1 exactly below it.
+    """
+    return bdf3_weights(1.0, r_n, r_nm1)[0]
 
 
 def check_solvability(tau_n: float, r_n: float, r_nm1: float) -> bool:
@@ -360,9 +370,10 @@ def consistency_probe(grid: TimeGrid, v: Callable[[float], float],
     """
     t = grid.levels
     samples = [float(v(tk)) for tk in t]
+    weights = kernel_weights(grid)
     out = np.empty(grid.n_steps)
     for j in range(1, grid.n_steps + 1):
-        out[j - 1] = abs(apply_D3(grid, samples[: j + 1]) - float(v_prime(t[j])))
+        out[j - 1] = abs(apply_D3(weights[j - 1], samples[: j + 1]) - float(v_prime(t[j])))
     return out
 
 

@@ -5,10 +5,11 @@ and the three-step kernel from n = 3 on.  Weights depend only on the local
 data (tau_n, r_n, r_{n-1}), and only through b_k = beta_k / tau_n, so one
 table of ratio parts beta_k (ratio_weights, built from one array call into
 each closed form) is the single source for every other form: the kernel
-matrix B, the step-scaled A = Lambda^{1/2} B Lambda^{1/2}, and the shifted
-and scaled entries certified in ratio_analysis.  Time stepping evaluates
-the closed forms per level (bdf_coefficients) and never touches the N x N
-matrices; those exist for analysis and diagnostics.
+weights b_k of every level (kernel_weights, which time stepping reads once
+per grid), the kernel matrix B, the step-scaled A = Lambda^{1/2} B
+Lambda^{1/2}, and the shifted and scaled entries certified in
+ratio_analysis.  apply_D3 is the one place the backward-difference sum is
+written; the N x N matrices exist for analysis and diagnostics.
 
 The inverse kernels (rows of D = B^{-1}) are computed by the backward
 recursion that defines them, one column at a time, exploiting that B has
@@ -25,27 +26,15 @@ import numpy as np
 from .time_grid import TimeGrid, _ro
 
 __all__ = [
-    "BdfCoefficients",
     "KernelMatrices",
-    "bdf1_weight",
     "bdf2_weights",
     "bdf3_weights",
     "ratio_weights",
-    "bdf_coefficients",
+    "kernel_weights",
     "assemble_B",
     "doc_kernels",
     "apply_D3",
 ]
-
-
-@dataclass(frozen=True)
-class BdfCoefficients:
-    """Kernel weights at one time level; absent weights are exact zeros."""
-
-    level: int
-    b0: float
-    b1: float = 0.0
-    b2: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -61,10 +50,6 @@ class KernelMatrices:
     Lambda: np.ndarray
     A: np.ndarray
     D: np.ndarray | None = None
-
-
-def bdf1_weight(tau1: float) -> float:
-    return 1.0 / tau1
 
 
 def bdf2_weights(tau2, r2):
@@ -90,34 +75,49 @@ def ratio_weights(ratios) -> np.ndarray:
 
     ratios holds r_2..r_N (length N-1).  Row n-1 of the N x 3 result is
     (beta_0, beta_1, beta_2) of level n, that is, the level's weights at
-    tau_n = 1; weights a level's kernel lacks are exact zeros.
+    tau_n = 1; weights a level's kernel lacks are exact zeros.  Ratios that
+    overflow the closed forms raise ValueError at the first level hit.
     """
     r = np.asarray(ratios, dtype=float)
     beta = np.zeros((r.size + 1, 3))
-    beta[0, 0] = bdf1_weight(1.0)
-    beta[1:2, :2] = np.column_stack(bdf2_weights(1.0, r[:1]))
-    beta[2:] = np.column_stack(bdf3_weights(1.0, r[1:], r[:-1]))
-    return beta
+    beta[0, 0] = 1.0
+    with np.errstate(all="ignore"):
+        beta[1:2, :2] = np.column_stack(bdf2_weights(1.0, r[:1]))
+        beta[2:] = np.column_stack(bdf3_weights(1.0, r[1:], r[:-1]))
+    return _require_finite(beta, "beta_0, beta_1, beta_2",
+                           lambda n: f"step ratio r_{n} = {float(r[n - 2])!r}")
 
 
-def bdf_coefficients(grid: TimeGrid, n: int) -> BdfCoefficients:
-    """Kernel weights for level n on the given grid (1-based, n <= N)."""
-    if not 1 <= n <= grid.n_steps:
-        raise ValueError(f"level {n} outside 1..{grid.n_steps}")
-    if n == 1:
-        return BdfCoefficients(1, bdf1_weight(grid.step(1)))
-    if n == 2:
-        b0, b1 = bdf2_weights(grid.step(2), grid.ratio(2))
-        return BdfCoefficients(2, b0, b1)
-    b0, b1, b2 = bdf3_weights(grid.step(n), grid.ratio(n), grid.ratio(n - 1))
-    return BdfCoefficients(n, b0, b1, b2)
+def kernel_weights(grid: TimeGrid) -> np.ndarray:
+    """Kernel weights b_k = beta_k / tau_n of every level, a read-only N x 3 table.
+
+    Row n-1 holds (b0, b1, b2) of level n.  A step so small that its
+    weights overflow raises ValueError.
+    """
+    tau = np.asarray(grid.steps)
+    beta = ratio_weights(grid.ratios)
+    with np.errstate(over="ignore"):
+        b = beta / tau[:, None]
+    return _ro(_require_finite(b, "b0, b1, b2",
+                               lambda n: f"step {grid.steps[n - 1]!r}"))
+
+
+def _require_finite(table: np.ndarray, names: str, cause) -> np.ndarray:
+    """Return table, or raise ValueError naming its first level with a
+    non-finite weight; cause(n) describes the grid data of level n."""
+    if not np.isfinite(table).all():
+        n = int(np.flatnonzero(~np.isfinite(table).all(axis=1))[0]) + 1
+        values = ", ".join(repr(float(v)) for v in table[n - 1])
+        raise ValueError(f"level {n}: {cause(n)} gives non-finite kernel weights "
+                         f"{names} = {values}")
+    return table
 
 
 def assemble_B(grid: TimeGrid) -> KernelMatrices:
     """Assemble B (lower triangular, bandwidth 3), Lambda and A for the grid."""
     n = grid.n_steps
     tau = np.asarray(grid.steps)
-    b = ratio_weights(grid.ratios) / tau[:, None]
+    b = kernel_weights(grid)
     B = np.zeros((n, n))
     idx = np.arange(n)
     B[idx, idx] = b[:, 0]
@@ -151,19 +151,19 @@ def doc_kernels(grid: TimeGrid) -> KernelMatrices:
     return KernelMatrices(B=km.B, Lambda=km.Lambda, A=km.A, D=_ro(D))
 
 
-def apply_D3(grid: TimeGrid, history) -> float | np.ndarray:
-    """Discrete time derivative at level n = len(history)-1.
+def apply_D3(weights, history) -> float | np.ndarray:
+    """Discrete time derivative b0*dv^n + b1*dv^(n-1) + b2*dv^(n-2).
 
-    history holds values (scalars or arrays of equal shape) at levels
-    0..n; the level-appropriate kernel weights the backward differences.
+    weights is the level's row (b0, b1, b2) of kernel_weights; history holds
+    values (scalars or arrays of equal shape) ending at level n, and
+    dv^k = v^k - v^(k-1).  At most the last four values are read; the
+    weights a level's kernel lacks are zeros, so at levels 1 and 2 the
+    history may start at level 0.
     """
-    n = len(history) - 1
-    if n < 1:
-        raise ValueError("history must span at least levels 0 and 1")
-    c = bdf_coefficients(grid, n)
-    out = c.b0 * (history[n] - history[n - 1])
-    if n >= 2:
-        out = out + c.b1 * (history[n - 1] - history[n - 2])
-    if n >= 3:
-        out = out + c.b2 * (history[n - 2] - history[n - 3])
+    last = len(history) - 1
+    if last < 1:
+        raise ValueError("history must span at least two levels")
+    out = 0.0
+    for k in range(min(last, 3)):
+        out = out + weights[k] * (history[last - k] - history[last - k - 1])
     return out

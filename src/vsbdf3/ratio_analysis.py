@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bdf_kernels import ratio_weights
-from .time_grid import TimeGrid
+from .time_grid import DEFAULT_RATIO_THRESHOLD, TimeGrid
 
 __all__ = [
     "GAMMA",
@@ -31,8 +31,6 @@ __all__ = [
     "LAMBDA_MIN",
     "LAMBDA_MAX",
     "MAX_CERTIFIED_RATIO",
-    "AnalysisConstants",
-    "CONSTANTS",
     "SylvesterTrace",
     "LemmaSweepResult",
     "generating_function",
@@ -63,21 +61,7 @@ KAPPA_MAX = 1.4
 LAMBDA_MIN = 1.99
 LAMBDA_MAX = 3.99
 # Largest adjacent-step ratio the certificates cover.
-MAX_CERTIFIED_RATIO = 1.405
-
-
-@dataclass(frozen=True)
-class AnalysisConstants:
-    gamma: float
-    kappa_min: float
-    kappa_max: float
-    lambda_min: float
-    lambda_max: float
-    r_s: float
-
-
-CONSTANTS = AnalysisConstants(GAMMA, KAPPA_MIN, KAPPA_MAX, LAMBDA_MIN, LAMBDA_MAX,
-                              MAX_CERTIFIED_RATIO)
+MAX_CERTIFIED_RATIO = DEFAULT_RATIO_THRESHOLD
 
 
 class EigenConvergenceError(RuntimeError):
@@ -243,7 +227,10 @@ def _pivot_certificate_terms(x, y, lam, kappa):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     ox, oy = 1.0 + x, 1.0 + y
     mix = 1.0 + y + x * y
-    t1 = (1.99 + 3.99 * x + y * (1.99 + 7.98 * x + 5.99 * x**2)) * ox * oy**4 * mix
+    # the shifted diagonal (2*beta_0 - 2*GAMMA) times (1+x)*mix, a polynomial
+    shifted = (2.0 - 2.0 * GAMMA + (4.0 - 2.0 * GAMMA) * x
+               + y * (2.0 - 2.0 * GAMMA + (8.0 - 4.0 * GAMMA) * x + (6.0 - 2.0 * GAMMA) * x**2))
+    t1 = shifted * ox * oy**4 * mix
     t2 = lam * ox**2 * oy**4 * mix**2
     t3 = x**3 * y**5 * ox**4 * oy**2 / lam
     inner = (1.0 + 2.0 * y + 2.0 * x * y) * oy**2 + y**2 * ox**2 * (1.0 + y - kappa * y**2)

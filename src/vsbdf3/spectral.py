@@ -228,18 +228,10 @@ def _values(op: SpectralOperator, f) -> np.ndarray:
     return v
 
 
-def l2_norm(op: SpectralOperator, f, weighting: str = "quadrature") -> float:
-    """Discrete L2 norm of a field.
-
-    "quadrature" (default) uses the operator's weights; "rms" is the plain
-    root mean square over nodes, kept as a sensitivity check.
-    """
+def l2_norm(op: SpectralOperator, f) -> float:
+    """Discrete L2 norm of a field under the operator's quadrature weights."""
     v = _values(op, f)
-    if weighting == "quadrature":
-        return math.sqrt(float(op.w @ (v * v)))
-    if weighting == "rms":
-        return math.sqrt(float(np.mean(v * v)))
-    raise ValueError(f"unknown weighting {weighting!r}")
+    return math.sqrt(float(op.w @ (v * v)))
 
 
 def energy(op: SpectralOperator, f, eps2: float) -> float:

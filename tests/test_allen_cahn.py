@@ -21,8 +21,9 @@ from vsbdf3.allen_cahn import (
     run,
     solvability_bound,
     stability_probe,
+    step,
 )
-from vsbdf3.bdf_kernels import bdf3_weights
+from vsbdf3.bdf_kernels import bdf3_weights, kernel_weights, ratio_weights
 from vsbdf3.spectral import chebyshev_operator, fourier_operator, l2_norm
 from vsbdf3.time_grid import build_from_steps, build_uniform, random_bounded_grid
 
@@ -91,6 +92,28 @@ def test_overflowing_leading_weight_is_rejected_before_arithmetic():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="level 1: .* non-finite kernel weights"):
             run(cfg)
+
+
+def test_run_takes_the_kernel_weights_once_per_grid(monkeypatch):
+    calls = []
+
+    def counted(grid):
+        calls.append(grid)
+        return kernel_weights(grid)
+
+    monkeypatch.setattr(allen_cahn, "kernel_weights", counted)
+    grid = build_uniform(6, 0.3)
+    res = run(SolverConfig(grid, chebyshev_operator(6), eps2=0.36))
+    assert len(res.diagnostics) == 6
+    assert calls == [grid]
+
+
+def test_step_rejects_a_level_outside_the_grid():
+    cfg = SolverConfig(build_uniform(2, 0.1), chebyshev_operator(6), eps2=0.16)
+    with pytest.raises(ValueError, match=r"level 0 outside 1\.\.2"):
+        step(cfg, [], 0)
+    with pytest.raises(ValueError, match=r"level 3 outside 1\.\.2"):
+        step(cfg, [initial_state(cfg)] * 3, 3)
 
 
 def _large_step_config(op, eps2):
@@ -183,6 +206,10 @@ def test_solvability_bound_and_checks():
     assert solvability_bound(1.0, 1.0) == pytest.approx(11 / 6)
     assert check_solvability(1.0, 1.0, 1.0)
     assert not check_solvability(2.0, 1.0, 1.0)
+    # the bound is the leading ratio part beta_0 of the three-step table row
+    for r_n, r_nm1 in make_rng(4).uniform(0.02, 44.0, size=(100, 2)):
+        beta0 = ratio_weights([r_nm1, r_n])[2, 0]
+        assert solvability_bound(r_n, r_nm1) == pytest.approx(beta0, rel=1e-15)
 
 
 def test_solvability_matches_leading_weight_exceeding_one():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,19 +7,18 @@ from conftest import certified_grid, make_rng, wild_grid
 from vsbdf3.bdf_kernels import (
     apply_D3,
     assemble_B,
-    bdf1_weight,
     bdf2_weights,
     bdf3_weights,
-    bdf_coefficients,
     doc_kernels,
+    kernel_weights,
     ratio_weights,
 )
 from vsbdf3.time_grid import build_from_steps, build_uniform, random_bounded_grid
 
 
 def test_uniform_weights_match_classical_values():
-    assert bdf1_weight(1.0) == 1.0
-    assert bdf1_weight(2.0) == 0.5
+    assert kernel_weights(build_from_steps([1.0]))[0, 0] == 1.0
+    assert kernel_weights(build_from_steps([2.0]))[0, 0] == 0.5
     b0, b1 = bdf2_weights(1.0, 1.0)
     assert (b0, b1) == pytest.approx((1.5, -0.5), abs=1e-15)
     b0, b1, b2 = bdf3_weights(1.0, 1.0, 1.0)
@@ -43,17 +44,35 @@ def test_scaled_weights_drop_the_step_factor():
 
 def test_coefficient_dispatch_per_level():
     g = build_uniform(4, 4.0)  # tau = 1
-    c1 = bdf_coefficients(g, 1)
-    assert (c1.level, c1.b0, c1.b1, c1.b2) == (1, 1.0, 0.0, 0.0)
-    c2 = bdf_coefficients(g, 2)
-    assert c2.b0 == pytest.approx(1.5)
-    assert c2.b1 == pytest.approx(-0.5)
-    assert c2.b2 == 0.0
-    c3 = bdf_coefficients(g, 3)
-    assert (c3.b0, c3.b1, c3.b2) == pytest.approx((11 / 6, -7 / 6, 1 / 3))
-    for bad in (0, 5):
-        with pytest.raises(ValueError):
-            bdf_coefficients(g, bad)
+    b = kernel_weights(g)
+    assert tuple(b[0]) == (1.0, 0.0, 0.0)
+    assert b[1, 0] == pytest.approx(1.5)
+    assert b[1, 1] == pytest.approx(-0.5)
+    assert b[1, 2] == 0.0
+    assert tuple(b[2]) == pytest.approx((11 / 6, -7 / 6, 1 / 3))
+    # one row per level, and the table is shared read-only
+    assert b.shape == (4, 3)
+    with pytest.raises(ValueError):
+        b[0, 0] = 2.0
+
+
+def test_overflowing_ratios_raise_without_warnings():
+    # r = 1e300 overflows r^2 in the closed forms; the table refuses the
+    # level instead of handing NaN weights on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^level 3: step ratio r_3 = 1e\+300 gives"):
+            ratio_weights([1.0, 1e300, 1e-300])
+        with pytest.raises(ValueError, match=r"^level 2: step ratio r_2 = 1e\+200 gives"):
+            kernel_weights(build_from_steps([1.0, 1e200]))
+
+
+def test_kernel_weights_are_the_table_over_the_step():
+    g = certified_grid(make_rng(10), 25)
+    b = kernel_weights(g)
+    tau = np.asarray(g.steps)
+    np.testing.assert_array_equal(b, ratio_weights(g.ratios) / tau[:, None])
+    np.testing.assert_array_equal(np.diagonal(assemble_B(g).B), b[:, 0])
 
 
 def test_leading_weight_positive_trailing_nonnegative():
@@ -145,39 +164,42 @@ def test_doc_quadratic_form_nonnegative():
 
 
 def test_apply_D3_constant_history_is_zero():
-    g = certified_grid(make_rng(6), 12)
+    b = kernel_weights(certified_grid(make_rng(6), 12))
     hist = [3.7] * 13
     for n in range(1, 13):
-        assert apply_D3(g, hist[: n + 1]) == 0.0
+        assert apply_D3(b[n - 1], hist[: n + 1]) == 0.0
 
 
 def test_apply_D3_linear_exact_at_every_level():
     # moderate step scales; extreme grading would amplify the v^n - v^{n-1}
     # rounding by 1/tau and the 1e-12 claim is about the formula, not that
     g = random_bounded_grid(15, 0.1, seed=7)
+    b = kernel_weights(g)
     t = g.levels
     hist = list(2.5 * t - 1.0)
     for n in range(1, 16):
-        assert apply_D3(g, hist[: n + 1]) == pytest.approx(2.5, abs=1e-12)
+        assert apply_D3(b[n - 1], hist[: n + 1]) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_apply_D3_quadratic_exact_from_level_two():
     g = certified_grid(make_rng(8), 10)
+    b = kernel_weights(g)
     t = g.levels
     hist = list(t**2)
     for n in range(2, 11):
-        assert apply_D3(g, hist[: n + 1]) == pytest.approx(2 * t[n], rel=1e-11, abs=1e-12)
+        assert apply_D3(b[n - 1], hist[: n + 1]) == pytest.approx(2 * t[n], rel=1e-11, abs=1e-12)
 
 
 def test_apply_D3_cubic_exact_from_level_three():
     rng = make_rng(9)
     for _ in range(20):
         g = wild_grid(rng, int(rng.integers(3, 40)))
+        b = kernel_weights(g)
         t = g.levels
         hist = list(t**3)
         for n in range(3, g.n_steps + 1):
             want = 3 * t[n] ** 2
-            assert apply_D3(g, hist[: n + 1]) == pytest.approx(want, rel=1e-10)
+            assert apply_D3(b[n - 1], hist[: n + 1]) == pytest.approx(want, rel=1e-10)
 
 
 def test_apply_D3_works_elementwise_on_fields():
@@ -185,11 +207,20 @@ def test_apply_D3_works_elementwise_on_fields():
     t = g.levels
     coef = np.array([1.0, -2.0, 0.5])
     hist = [c * coef for c in t**2]
-    out = apply_D3(g, hist)
+    out = apply_D3(kernel_weights(g)[3], hist)
     np.testing.assert_allclose(out, 2 * t[4] * coef, atol=1e-13)
 
 
+def test_apply_D3_reads_only_the_kernel_levels():
+    g = certified_grid(make_rng(11), 9)
+    b = kernel_weights(g)
+    hist = list(np.cos(g.levels))
+    for n in range(1, 10):
+        # levels before n-3 carry no weight
+        assert apply_D3(b[n - 1], hist[max(n - 3, 0) : n + 1]) == apply_D3(b[n - 1], hist[: n + 1])
+
+
 def test_apply_D3_short_history_rejected():
-    g = build_uniform(3, 1.0)
+    b = kernel_weights(build_uniform(3, 1.0))
     with pytest.raises(ValueError):
-        apply_D3(g, [1.0])
+        apply_D3(b[0], [1.0])

@@ -113,7 +113,7 @@ def test_ratio_figure_rejects_short_length():
                  "--length", "1", "--out", "x.csv"]) == 2
 
 
-def test_certify_exit_codes(tmp_path):
+def test_certify_exit_codes(tmp_path, capsys):
     good = save_grid(build_from_ratios([1.405] * 30, 1.0), tmp_path / "good.json")
     bad = save_grid(build_from_ratios([1.732] * 40, 1.0), tmp_path / "bad.json")
     assert main(["--quiet", "certify", "--grid", str(good)]) == 0
@@ -125,11 +125,32 @@ def test_certify_exit_codes(tmp_path):
     not_json.write_text("steps: 0.1, 0.2\n")
     nan_horizon = tmp_path / "nan.json"
     nan_horizon.write_text('{"T": NaN, "steps": [0.1, 0.2]}')
-    for path in (negative, not_json, nan_horizon):
-        assert main(["--quiet", "certify", "--grid", str(path)]) == 2
-        assert main(["--quiet", "kernels", "--grid", str(path),
-                     "--out", str(tmp_path / "mats")]) == 2
-        assert not (tmp_path / "mats").exists()
+    # the ratio 1e300 overflows the closed-form weights
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text('{"T": 2e150, "steps": [1e-150, 1e-150, 1e150, 1e150]}')
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in (negative, not_json, nan_horizon, overflow):
+            assert main(["--quiet", "certify", "--grid", str(path)]) == 2
+            assert main(["--quiet", "kernels", "--grid", str(path),
+                         "--out", str(tmp_path / "mats")]) == 2
+            assert not (tmp_path / "mats").exists()
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
+def test_ratio_figure_rejects_overflowing_ratio(tmp_path, capsys):
+    out = tmp_path / "fig.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--quiet", "ratio-figure", "--ratio", "1e200", "--length", "4",
+                   "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: level 2: step ratio r_2 = 1e+200 gives non-finite")
+    assert err.count("\n") == 1
 
 
 def test_validate_lemmas_quick_resolution():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import certified_grid, make_rng
-from vsbdf3.bdf_kernels import assemble_B, bdf_coefficients
+from vsbdf3 import ratio_analysis
+from vsbdf3.bdf_kernels import assemble_B, kernel_weights
 from vsbdf3.ratio_analysis import (
-    CONSTANTS,
     GAMMA,
     KAPPA_MAX,
     KAPPA_MIN,
@@ -35,7 +35,6 @@ def test_constants_are_the_published_values():
     assert (KAPPA_MIN, KAPPA_MAX) == (0.25, 1.4)
     assert (LAMBDA_MIN, LAMBDA_MAX) == (1.99, 3.99)
     assert MAX_CERTIFIED_RATIO == 1.405
-    assert CONSTANTS.r_s == 1.405
 
 
 def test_generating_function_hand_values():
@@ -97,7 +96,7 @@ def test_shifted_diagonal_is_doubled_and_shifted_leading_weight():
     for _ in range(50):
         g = certified_grid(rng, int(rng.integers(1, 30)))
         tr = sylvester_trace_shifted(g)
-        b0 = bdf_coefficients(g, 1).b0
+        b0 = kernel_weights(g)[0, 0]
         want = 2 * b0 - 2 * GAMMA / g.step(1)
         assert tr.p[0] == pytest.approx(want, rel=1e-13)
 
@@ -152,6 +151,19 @@ def test_lemma_functions_match_individual_evaluators():
         assert vals.subdiag == subdiagonal_certificate(x, y)
         assert vals.pivot_lower == pivot_lower_certificate(x, y)
         assert vals.pivot_upper == pivot_upper_certificate(x, y)
+
+
+def test_pivot_certificate_follows_gamma(monkeypatch):
+    # t1 carries the numerator of 2*beta_0 - 2*gamma, that is
+    # 2*N0 - 2*gamma*(1+x)(1+y+xy), so raising gamma by d lowers the lower
+    # certificate by 2*d*((1+x)(1+y+xy))^2 (1+y)^4
+    x, y = 1.2, 0.7
+    before = pivot_lower_certificate(x, y)
+    monkeypatch.setattr(ratio_analysis, "GAMMA", 0.01)
+    after = pivot_lower_certificate(x, y)
+    mix = 1.0 + y + x * y
+    drop = 2.0 * (0.01 - 1.0 / 200.0) * ((1.0 + x) * mix) ** 2 * (1.0 + y) ** 4
+    assert before - after == pytest.approx(drop, rel=1e-9)
 
 
 def test_quick_lemma_sweep_passes_at_coarse_resolution():

@@ -1,9 +1,10 @@
 """Property tests: every kernel form derived from the one ratio-weight table.
 
-Ratio sequences are drawn with N <= 12 levels and ratios in [0.02, 44],
-the range of the random-step convergence grids.  The references are the
-per-level scalar weights (bdf_coefficients), the dense matrices of
-assemble_B and the Jacobi eigenvalue oracle.
+Ratio sequences are drawn with N <= 12 levels (N <= 40 for the inverse
+kernels) and ratios in [0.02, 44], the range of the random-step
+convergence grids.  The references are the closed forms evaluated at each
+level's (tau_n, r_n, r_{n-1}), the dense matrices of assemble_B, the
+identity D B = I, and the Jacobi eigenvalue oracle.
 """
 
 import math
@@ -14,7 +15,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from vsbdf3.bdf_kernels import assemble_B, bdf_coefficients, ratio_weights  # noqa: E402
+from vsbdf3.bdf_kernels import (  # noqa: E402
+    assemble_B,
+    bdf2_weights,
+    bdf3_weights,
+    doc_kernels,
+    ratio_weights,
+)
 from vsbdf3.ratio_analysis import (  # noqa: E402
     GAMMA,
     _scaled_weights,
@@ -38,9 +45,16 @@ def test_table_rows_over_tau_are_the_kernel_weights(ratios):
     b = ratio_weights(g.ratios) / tau[:, None]
     B = assemble_B(g).B
     n = g.n_steps
+    r = g.ratios
     for level in range(1, n + 1):
-        c = bdf_coefficients(g, level)
-        np.testing.assert_allclose(b[level - 1], [c.b0, c.b1, c.b2], rtol=1e-14, atol=0.0)
+        t = g.step(level)
+        if level == 1:
+            want = [1.0 / t, 0.0, 0.0]
+        elif level == 2:
+            want = [*bdf2_weights(t, r[0]), 0.0]
+        else:
+            want = bdf3_weights(t, r[level - 2], r[level - 3])
+        np.testing.assert_allclose(b[level - 1], want, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(np.diagonal(B), b[:, 0], rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(np.diagonal(B, -1), b[1:, 1], rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(np.diagonal(B, -2), b[2:, 2], rtol=1e-14, atol=0.0)
@@ -77,6 +91,15 @@ def test_shifted_diagonal_at_every_level(ratios):
             terms.append(B[j, j - 2] ** 2 / p[j - 2])
         scale = sum(abs(t) for t in terms) + abs(want[j])
         assert abs(math.fsum(terms) - want[j]) <= 1e-13 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(min_value=0.02, max_value=44.0), max_size=39))
+def test_inverse_kernels_invert_the_kernel_matrix(ratios):
+    km = doc_kernels(build_from_ratios(ratios, 1.0))
+    D, B = km.D, km.B
+    scale = max(1.0, float(np.max(np.abs(D) @ np.abs(B))))
+    assert np.max(np.abs(D @ B - np.eye(len(B)))) <= 1e-13 * scale
 
 
 @settings(max_examples=150, deadline=None)

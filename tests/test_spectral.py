@@ -153,7 +153,6 @@ def test_l2_norm_constants_and_modes():
     op = chebyshev_operator(10)
     ones = np.ones(op.n_unknowns)
     assert l2_norm(op, ones) == pytest.approx(2.0, abs=1e-12)
-    assert l2_norm(op, ones, weighting="rms") == pytest.approx(1.0, abs=1e-15)
     fop = fourier_operator(16)
     x, _ = fop.mesh
     # ||sin x||_{L^2((0,2pi)^2)} = sqrt(2 pi^2)
@@ -164,8 +163,6 @@ def test_l2_norm_rejects_bad_inputs():
     op = chebyshev_operator(6)
     with pytest.raises(ValueError):
         l2_norm(op, np.ones(3))
-    with pytest.raises(ValueError):
-        l2_norm(op, np.ones(op.n_unknowns), weighting="spectral")
 
 
 def test_energy_of_reference_states():
