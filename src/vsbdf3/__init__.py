@@ -17,7 +17,6 @@ from .allen_cahn import (
     exact_solution,
     forcing,
     run,
-    stability_probe,
     step,
 )
 from .bdf_kernels import (
@@ -28,16 +27,10 @@ from .bdf_kernels import (
     kernel_weights,
 )
 from .ratio_analysis import (
-    EigenConvergenceError,
-    PowerIterationError,
     SylvesterTrace,
     certify_positive_definite,
     generating_function,
-    lemma_functions,
-    min_symmetric_eigenvalue,
-    spectral_norm,
     sweep_lemma_bounds,
-    sylvester_trace_A,
     sylvester_trace_A_from_ratios,
     sylvester_trace_shifted,
 )

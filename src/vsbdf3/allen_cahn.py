@@ -12,13 +12,13 @@ tensor structure, and each correction solves with J = (b0 - 1)*I -
 eps2*L + diag(3u^2) by restarted GMRES, right-preconditioned by the exact
 fast-diagonalisation inverse of (b0 - 1 + c)*I - eps2*L, c the midpoint of
 the range of 3u^2.
-The inner solve stops once its residual is below max(1e-3*newton_tol,
+The inner solve stops once its residual is below max(1e-3*NEWTON_TOL,
 1e-13*|res|) (inexact Newton, Dembo, Eisenstat & Steihaug 1982): three
 orders below the Newton tolerance, so the outer iteration behaves as with
 an exact solve.  An inner solve that does not converge within its iteration
 cap raises SingularJacobianError.
 
-Convergence is max-norm residual <= max(newton_tol, 4*eps*|rhs|): below
+Convergence is max-norm residual <= max(NEWTON_TOL, 4*eps*|rhs|): below
 that the residual is rounding noise of b0*u, which is large on tiny steps.
 The residual is checked before the first solve, so exact steady states cost
 zero iterations; a non-finite residual is a divergence, never convergence.
@@ -32,18 +32,19 @@ periodic operator).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .bdf_kernels import apply_D3, bdf3_weights, kernel_weights
+from .bdf_kernels import apply_D3, kernel_weights, ratio_weights
 from .ratio_analysis import GAMMA
 from .spectral import FieldState, SpectralOperator, energy, l2_norm
 from .time_grid import TimeGrid
 
 __all__ = [
+    "NEWTON_TOL",
     "SolverConfig",
     "StepDiagnostics",
     "RunResult",
@@ -53,7 +54,6 @@ __all__ = [
     "exact_time_derivative",
     "forcing",
     "default_energy_initial_data",
-    "stability_perturbation",
     "initial_state",
     "step",
     "run",
@@ -61,7 +61,6 @@ __all__ = [
     "check_solvability",
     "check_energy_condition",
     "consistency_probe",
-    "stability_probe",
 ]
 
 
@@ -89,6 +88,9 @@ class SingularJacobianError(RuntimeError):
         super().__init__(f"singular Jacobian at level {level}")
 
 
+# Max-norm residual at which Newton stops, and its iteration cap.
+NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 50
 # Restart length and total iteration cap of the inner GMRES solve.
 _INNER_RESTART = 50
 _INNER_MAX_ITER = 500
@@ -104,18 +106,12 @@ class SolverConfig:
     eps2: float
     forcing: str = "manufactured"
     initial_data: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 50
 
     def __post_init__(self):
         if self.forcing not in ("manufactured", "none"):
             raise ValueError(f"forcing must be 'manufactured' or 'none', got {self.forcing!r}")
         if not (self.eps2 > 0.0 and math.isfinite(self.eps2)):
             raise ValueError(f"eps2 must be positive and finite, got {self.eps2!r}")
-        if not (self.newton_tol > 0.0 and math.isfinite(self.newton_tol)):
-            raise ValueError(f"newton_tol must be positive, got {self.newton_tol!r}")
-        if self.newton_max_iter < 1:
-            raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
 
     @cached_property
     def kernel_weights(self) -> np.ndarray:
@@ -180,11 +176,6 @@ def default_energy_initial_data(x, y):
     return 0.05 * np.sin(np.asarray(x)) * np.sin(np.asarray(y))
 
 
-def stability_perturbation(x, y):
-    """Fixed smooth perturbation direction used by stability_probe."""
-    return np.cos(np.asarray(x)) * np.cos(np.asarray(y))
-
-
 def initial_state(config: SolverConfig) -> FieldState:
     X, Y = config.operator.mesh
     if config.initial_data is not None:
@@ -217,7 +208,7 @@ def step(config: SolverConfig, history, n: int) -> tuple[FieldState, StepDiagnos
     if config.forcing == "manufactured":
         X, Y = op.mesh
         rhs = rhs + forcing(X, Y, t_n, eps2)
-    tol = max(config.newton_tol, 4.0 * _EPS * float(np.max(np.abs(rhs))))
+    tol = max(NEWTON_TOL, 4.0 * _EPS * float(np.max(np.abs(rhs))))
 
     u = u_prev.copy()
     res = b0 * u - eps2 * op.laplacian(u) + u**3 - u - rhs
@@ -225,9 +216,9 @@ def step(config: SolverConfig, history, n: int) -> tuple[FieldState, StepDiagnos
     inner = []
     # written so that a NaN residual stays in the loop and raises
     while not res_norm <= tol:
-        if not math.isfinite(res_norm) or len(inner) >= config.newton_max_iter:
+        if not math.isfinite(res_norm) or len(inner) >= _NEWTON_MAX_ITER:
             raise NewtonDivergenceError(n, res_norm, len(inner))
-        inner_tol = max(1e-3 * config.newton_tol, 1e-13 * res_norm)
+        inner_tol = max(1e-3 * NEWTON_TOL, 1e-13 * res_norm)
         du, its = _newton_correction(op, eps2, b0 - 1.0, u, res, inner_tol, n)
         u = u + du
         res = b0 * u - eps2 * op.laplacian(u) + u**3 - u - rhs
@@ -345,9 +336,10 @@ def solvability_bound(r_n: float, r_nm1: float) -> float:
     """Largest tau_n with a strictly convex level functional (three-step kernel).
 
     That is the ratio part beta_0 of the leading weight: b0 = beta_0 / tau_n
-    exceeds 1 exactly below it.
+    exceeds 1 exactly below it.  Ratios that overflow the weights raise
+    ValueError.
     """
-    return bdf3_weights(1.0, r_n, r_nm1)[0]
+    return float(ratio_weights([r_nm1, r_n])[2, 0])
 
 
 def check_solvability(tau_n: float, r_n: float, r_nm1: float) -> bool:
@@ -376,25 +368,3 @@ def consistency_probe(grid: TimeGrid, v: Callable[[float], float],
         out[j - 1] = abs(apply_D3(weights[j - 1], samples[: j + 1]) - float(v_prime(t[j])))
     return out
 
-
-def stability_probe(config: SolverConfig, delta: float) -> float:
-    """Terminal-to-initial perturbation ratio for an initial-datum kick.
-
-    Runs the configuration twice, the second time with delta times the
-    fixed perturbation added to the initial datum, and returns
-    ||u_a^N - u_b^N|| / ||delta * perturbation||.  delta = 0 returns 1.
-    """
-    if delta == 0.0:
-        return 1.0
-    op = config.operator
-    base_state = initial_state(config)
-    base_values = base_state.values
-
-    def perturbed(x, y):
-        return base_values + delta * stability_perturbation(x, y)
-
-    run_a = run(config)
-    run_b = run(replace(config, initial_data=perturbed))
-    num = l2_norm(op, run_a.states[-1].values - run_b.states[-1].values)
-    den = l2_norm(op, delta * stability_perturbation(*op.mesh))
-    return num / den

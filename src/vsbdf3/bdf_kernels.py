@@ -41,13 +41,12 @@ __all__ = [
 class KernelMatrices:
     """Kernel matrix B, its step-scaled symmetrization A, and optionally D = B^{-1}.
 
-    B is lower triangular with bandwidth 3.  Lambda holds the diagonal of the
-    step matrix as a 1-D vector, and A = Lambda^{1/2} B Lambda^{1/2}.  D is
-    None until the inverse kernels are requested.  Arrays are read-only.
+    B is lower triangular with bandwidth 3, and A = Lambda^{1/2} B
+    Lambda^{1/2} with Lambda = diag(tau).  D is None until the inverse
+    kernels are requested.  Arrays are read-only.
     """
 
     B: np.ndarray
-    Lambda: np.ndarray
     A: np.ndarray
     D: np.ndarray | None = None
 
@@ -114,7 +113,7 @@ def _require_finite(table: np.ndarray, names: str, cause) -> np.ndarray:
 
 
 def assemble_B(grid: TimeGrid) -> KernelMatrices:
-    """Assemble B (lower triangular, bandwidth 3), Lambda and A for the grid."""
+    """Assemble B (lower triangular, bandwidth 3) and A for the grid."""
     n = grid.n_steps
     tau = np.asarray(grid.steps)
     b = kernel_weights(grid)
@@ -125,7 +124,7 @@ def assemble_B(grid: TimeGrid) -> KernelMatrices:
     B[idx[2:], idx[:-2]] = b[2:, 2]
     root = np.sqrt(tau)
     A = root[:, None] * B * root[None, :]
-    return KernelMatrices(B=_ro(B), Lambda=_ro(tau.copy()), A=_ro(A))
+    return KernelMatrices(B=_ro(B), A=_ro(A))
 
 
 def doc_kernels(grid: TimeGrid) -> KernelMatrices:
@@ -148,7 +147,7 @@ def doc_kernels(grid: TimeGrid) -> KernelMatrices:
         if j + 2 < n:
             acc[1:] += D[j + 2 :, j + 2] * b2[j]
         D[j + 1 :, j] = -acc / b0[j]
-    return KernelMatrices(B=km.B, Lambda=km.Lambda, A=km.A, D=_ro(D))
+    return KernelMatrices(B=km.B, A=km.A, D=_ro(D))
 
 
 def apply_D3(weights, history) -> float | np.ndarray:

@@ -1,9 +1,10 @@
 """Command-line study harness: convergence tables, certification, sweeps.
 
 Subcommands mirror the study workflows; all numeric output files are byte
-deterministic for a fixed invocation (wall-clock metadata is kept off disk
-for exactly that reason).  Exit codes: 0 success / property certified,
-1 analyzed property violated, 2 usage error, 3 numerical failure.
+deterministic for a fixed invocation, and no wall-clock time is recorded.
+Exit codes: 0 success / property certified, 1 analyzed property violated,
+2 usage error, 3 solver failure (Newton divergence or a non-converging
+inner solve).
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ import argparse
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .allen_cahn import (
+    NEWTON_TOL,
     NewtonDivergenceError,
     SingularJacobianError,
     SolverConfig,
@@ -27,8 +28,6 @@ from .allen_cahn import (
 )
 from .bdf_kernels import doc_kernels
 from .ratio_analysis import (
-    EigenConvergenceError,
-    PowerIterationError,
     certify_positive_definite,
     sweep_lemma_bounds,
     sylvester_trace_A_from_ratios,
@@ -74,9 +73,7 @@ class ConvergenceReport:
     eps2: float
     m: int
     seed: int | None
-    newton_tol: float
     rows: tuple[ConvergenceRow, ...]
-    wall_time: float
 
 
 def _case_grid(case: str, n: int, seed: int | None):
@@ -102,11 +99,9 @@ def run_convergence(case, eps2_list, n_list, m, seed=None):
         raise ValueError("case 2 needs a seed")
     operator = chebyshev_operator(m)
     grids = {n: _case_grid(case, n, seed) for n in n_list}
-    start = time.perf_counter()
     errors = {(eps2, n): run(SolverConfig(grid=grids[n], operator=operator,
                                           eps2=eps2)).final_error
               for eps2 in eps2_list for n in n_list}
-    wall = time.perf_counter() - start
 
     reports = []
     for eps2 in eps2_list:
@@ -122,8 +117,7 @@ def run_convergence(case, eps2_list, n_list, m, seed=None):
                                        ratio_report.max_ratio, ratio_report.min_ratio))
             prev = (n, err)
         reports.append(ConvergenceReport(case=case, eps2=eps2, m=m, seed=seed,
-                                         newton_tol=1e-10, rows=tuple(rows),
-                                         wall_time=wall))
+                                         rows=tuple(rows)))
     return tuple(reports)
 
 
@@ -140,11 +134,7 @@ def _fmt_ratio(x: float | None) -> str:
 
 
 def emit(report: ConvergenceReport, fmt: str, path) -> Path:
-    """Write a report as CSV or JSON; both carry identical rounded numbers.
-
-    Wall time stays off disk so identical invocations produce identical
-    bytes.
-    """
+    """Write a report as CSV or JSON; both carry identical rounded numbers."""
     path = Path(path)
     if fmt == "csv":
         lines = ["N,error,rate,max_r,min_r"]
@@ -165,7 +155,7 @@ def emit(report: ConvergenceReport, fmt: str, path) -> Path:
                 "eps2": report.eps2,
                 "M": report.m,
                 "seed": report.seed,
-                "newton_tol": report.newton_tol,
+                "newton_tol": NEWTON_TOL,
             },
             "rows": [
                 {
@@ -405,8 +395,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NewtonDivergenceError, SingularJacobianError,
-            EigenConvergenceError, PowerIterationError) as exc:
+    except (NewtonDivergenceError, SingularJacobianError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (OSError, ValueError) as exc:

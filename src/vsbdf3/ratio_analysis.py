@@ -1,4 +1,4 @@
-"""Step-ratio analysis: pivot recursions, bound certificates, eigen oracles.
+"""Step-ratio analysis: pivot recursions and bound certificates.
 
 Positive definiteness of the kernel matrices is decided by running the
 symmetric-elimination pivot recursion on their banded entries (Sylvester's
@@ -7,17 +7,12 @@ pivot.  The banded entries, step-scaled or gamma-shifted, are derived from
 the one ratio-weight table of bdf_kernels.  The closed-form certificate
 functions bound those pivots and the subdiagonal couplings on the certified
 ratio box [0, 1.405]^2.
-
-The eigenvalue routines at the bottom are deliberately self-contained
-(cyclic Jacobi sweeps, power iteration) so the certification path and its
-oracle share no linear-algebra machinery.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +29,6 @@ __all__ = [
     "SylvesterTrace",
     "LemmaSweepResult",
     "generating_function",
-    "sylvester_trace_A",
     "sylvester_trace_A_from_ratios",
     "sylvester_trace_shifted",
     "subdiagonal_envelopes",
@@ -44,12 +38,7 @@ __all__ = [
     "pivot_lower_certificate",
     "pivot_upper_certificate",
     "pivot_certificate_scales",
-    "lemma_functions",
     "sweep_lemma_bounds",
-    "min_symmetric_eigenvalue",
-    "spectral_norm",
-    "EigenConvergenceError",
-    "PowerIterationError",
 ]
 
 # Shift applied to the kernel diagonal before certification.
@@ -62,14 +51,6 @@ LAMBDA_MIN = 1.99
 LAMBDA_MAX = 3.99
 # Largest adjacent-step ratio the certificates cover.
 MAX_CERTIFIED_RATIO = DEFAULT_RATIO_THRESHOLD
-
-
-class EigenConvergenceError(RuntimeError):
-    """Jacobi sweeps failed to reduce the off-diagonal norm."""
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge within the iteration budget."""
 
 
 @dataclass(frozen=True)
@@ -158,11 +139,6 @@ def sylvester_trace_A_from_ratios(ratios) -> SylvesterTrace:
     a = _scaled_weights(ratios)
     p, q, first = _pivot_recursion(2.0 * a[:, 0], a[:, 1], a[:, 2])
     return SylvesterTrace(p=p, q=q, first_negative=first)
-
-
-def sylvester_trace_A(grid: TimeGrid) -> SylvesterTrace:
-    """Pivot recursion for Lambda^{1/2} B Lambda^{1/2} + transpose."""
-    return sylvester_trace_A_from_ratios(grid.ratios)
 
 
 def subdiagonal_envelopes(tau_j, r_j, r_jm1):
@@ -267,29 +243,6 @@ def pivot_certificate_scales(x, y) -> tuple:
     return lo_scale, hi_scale
 
 
-class LemmaFunctionValues(NamedTuple):
-    transfer: float
-    subdiag: float
-    pivot_lower: float
-    pivot_upper: float
-
-
-def lemma_functions(x, y, kappa) -> LemmaFunctionValues:
-    """All four certificate values at one point of the admissible box."""
-    xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if np.any(xa < 0.0) or np.any(xa > MAX_CERTIFIED_RATIO) \
-            or np.any(ya < 0.0) or np.any(ya > MAX_CERTIFIED_RATIO):
-        raise ValueError(f"(x, y) outside [0, {MAX_CERTIFIED_RATIO}]^2")
-    if not KAPPA_MIN <= kappa <= KAPPA_MAX:
-        raise ValueError(f"kappa outside [{KAPPA_MIN}, {KAPPA_MAX}]")
-    return LemmaFunctionValues(
-        envelope_transfer_factor(xa, ya, kappa),
-        subdiagonal_certificate(xa, ya),
-        pivot_lower_certificate(xa, ya),
-        pivot_upper_certificate(xa, ya),
-    )
-
-
 @dataclass(frozen=True)
 class LemmaSweepResult:
     """Extremes of the four certificates over a regular grid on the box."""
@@ -359,105 +312,4 @@ def sweep_lemma_bounds(resolution: float = 0.005,
         pivot_lower_scaled_min=lo_scaled_min,
         pivot_upper_scaled_max=hi_scaled_max,
         passed=passed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# self-contained eigen oracles
-
-
-def min_symmetric_eigenvalue(M, rel_tol: float = 1e-12, max_sweeps: int = 100) -> float:
-    """Smallest eigenvalue of the symmetric part (M + M^T)/2 by cyclic Jacobi.
-
-    Accuracy is ~1e-10 * ||M|| or better; used as the independent oracle for
-    the pivot-recursion certification, so it must not share that code path.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    S = 0.5 * (M + M.T)
-    return float(_jacobi_spectrum(S, rel_tol, max_sweeps).min())
-
-
-def _jacobi_spectrum(S: np.ndarray, rel_tol: float, max_sweeps: int) -> np.ndarray:
-    A = S.copy()
-    n = A.shape[0]
-    if n == 1:
-        return A.diagonal().copy()
-    fro = math.sqrt(float((A * A).sum()))
-    if fro == 0.0:
-        return np.zeros(n)
-    for _ in range(max_sweeps):
-        # sum off-diagonal squares directly; the difference-of-sums form loses
-        # all accuracy once the diagonal dominates by ~1e8
-        offmat = A * A
-        np.fill_diagonal(offmat, 0.0)
-        off = math.sqrt(float(offmat.sum()))
-        if off <= rel_tol * fro:
-            return A.diagonal().copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                g = 100.0 * abs(apq)
-                app, aqq = A[p, p], A[q, q]
-                # coupling below roundoff of both diagonals: already converged
-                if abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
-                    A[p, q] = A[q, p] = 0.0
-                    continue
-                h = aqq - app
-                if abs(h) + g == abs(h):
-                    # theta would overflow; rotation angle ~ apq/h
-                    t = apq / h
-                else:
-                    theta = h / (2.0 * apq)
-                    sgn = 1.0 if theta >= 0.0 else -1.0
-                    t = sgn / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = A[q, p] = 0.0
-    raise EigenConvergenceError(
-        f"Jacobi sweeps did not converge in {max_sweeps} sweeps (n={n})"
-    )
-
-
-def spectral_norm(M, rel_tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value by power iteration on M^T M.
-
-    Successive estimates are Rayleigh quotients, hence nondecreasing; the
-    iteration stops when they agree to rel_tol.  Nonconvergence raises
-    PowerIterationError rather than returning a stale estimate.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.any(M):
-        return 0.0
-    rng = np.random.Generator(np.random.PCG64(1405))
-    v = rng.standard_normal(M.shape[1])
-    v /= math.sqrt(float(v @ v))
-    sigma_prev = -1.0
-    for _ in range(max_iter):
-        w = M @ v
-        sigma = math.sqrt(float(w @ w))
-        if sigma == 0.0:
-            # start vector fell in the null space; redraw
-            v = rng.standard_normal(M.shape[1])
-            v /= math.sqrt(float(v @ v))
-            continue
-        if sigma_prev >= 0.0 and abs(sigma - sigma_prev) <= rel_tol * sigma:
-            return sigma
-        sigma_prev = sigma
-        u = M.T @ w
-        v = u / math.sqrt(float(u @ u))
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last estimate {sigma_prev})"
     )

@@ -15,9 +15,10 @@ Unknowns are ordered row-major with y slow and x fast, so a flattened field
 reshaped to (k, k) holds U[y, x].  Both families are Kronecker sums of one
 pair of 1-D matrices d1, d2 (k x k), and every operator acts through that
 structure in O(k^3): L U = U d2^T + d2 U, Gx U = U d1^T, Gy U = d1 U.  One
-fast diagonalisation d2 = V diag(lambda) V^{-1} (Lynch, Rice & Thomas 1964)
-turns sigma*I - eps2*L into the diagonal sigma - eps2*(lambda_i + lambda_j)
-in the basis V (x) V, so its inverse also costs O(k^3).  The dense k^2 x k^2
+fast diagonalisation d2 = V diag(lambda) V^{-1} (Lynch, Rice & Thomas 1964),
+with orthogonal V when d2 is symmetric (Fourier), turns sigma*I - eps2*L
+into the diagonal sigma - eps2*(lambda_i + lambda_j) in the basis V (x) V,
+so its inverse also costs O(k^3).  The dense k^2 x k^2
 matrices L, Gx and Gy are built on first access, as test oracles only.
 """
 
@@ -43,6 +44,10 @@ __all__ = [
     "energy",
 ]
 
+# Largest relative max-norm error of V diag(lambda) V^{-1} against d2 that
+# still gives a useful shifted-Laplacian inverse.
+_MAX_DIAGONALISATION_ERROR = 1e-10
+
 
 @dataclass(frozen=True)
 class SpectralOperator:
@@ -67,12 +72,24 @@ class SpectralOperator:
     _eig_sums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lam, vecs = np.linalg.eig(self.d2)
-        if np.max(np.abs(lam.imag)) > 1e-10 * np.max(np.abs(lam.real)):
-            raise ValueError("d2 has a complex spectrum; fast diagonalisation needs a real one")
-        vecs, lam = vecs.real, lam.real
+        d2 = self.d2
+        if np.array_equal(d2, d2.T):
+            # orthogonal eigenvectors; eig would return a near-singular V for
+            # the repeated eigenvalues of the Fourier d2
+            lam, vecs = np.linalg.eigh(d2)
+            vecs_inv = vecs.T
+        else:
+            lam, vecs = np.linalg.eig(d2)
+            if np.max(np.abs(lam.imag)) > 1e-10 * np.max(np.abs(lam.real)):
+                raise ValueError("d2 has a complex spectrum; fast diagonalisation needs a real one")
+            vecs, lam = vecs.real, lam.real
+            vecs_inv = np.linalg.inv(vecs)
+        err = np.max(np.abs((vecs * lam) @ vecs_inv - d2)) / np.max(np.abs(d2))
+        if not err <= _MAX_DIAGONALISATION_ERROR:
+            raise ValueError(f"fast diagonalisation of d2 is inaccurate: V diag(lambda) V^-1 "
+                             f"has relative error {err:.1e}")
         object.__setattr__(self, "_vecs", _ro(vecs))
-        object.__setattr__(self, "_vecs_inv", _ro(np.linalg.inv(vecs)))
+        object.__setattr__(self, "_vecs_inv", _ro(vecs_inv))
         object.__setattr__(self, "_eig_sums", _ro(lam[:, None] + lam[None, :]))
 
     @property

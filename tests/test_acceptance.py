@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from conftest import certified_grid, make_rng, wild_grid
+from eigen_oracles import min_symmetric_eigenvalue, spectral_norm
 from vsbdf3.allen_cahn import SolverConfig, consistency_probe, default_energy_initial_data, run
 from vsbdf3.bdf_kernels import apply_D3, assemble_B, doc_kernels, kernel_weights
 from vsbdf3.cli import run_convergence
@@ -22,8 +23,6 @@ from vsbdf3.ratio_analysis import (
     LAMBDA_MIN,
     certify_positive_definite,
     generating_function,
-    min_symmetric_eigenvalue,
-    spectral_norm,
     sweep_lemma_bounds,
     sylvester_trace_A_from_ratios,
     sylvester_trace_shifted,

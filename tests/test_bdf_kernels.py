@@ -93,7 +93,6 @@ def test_assemble_B_band_structure():
     assert np.all(B[np.triu_indices(5, 1)] == 0.0)
     # bandwidth 3: nothing below the second subdiagonal
     assert np.all(B[np.tril_indices(5, -3)] == 0.0)
-    np.testing.assert_allclose(km.Lambda, np.ones(5))
 
 
 def test_assemble_B_single_step():

@@ -35,7 +35,6 @@ def test_run_convergence_rates_near_three():
     assert rows[0].rate is None
     for r in rows[1:]:
         assert 2.5 < r.rate < 3.5
-    assert reports[0].wall_time > 0.0
 
 
 def test_run_convergence_case_two_needs_seed():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import certified_grid, make_rng
+from eigen_oracles import min_symmetric_eigenvalue, spectral_norm
 from vsbdf3 import ratio_analysis
 from vsbdf3.bdf_kernels import assemble_B, kernel_weights
 from vsbdf3.ratio_analysis import (
@@ -14,16 +15,12 @@ from vsbdf3.ratio_analysis import (
     certify_positive_definite,
     envelope_transfer_factor,
     generating_function,
-    lemma_functions,
-    min_symmetric_eigenvalue,
     pivot_certificate_scales,
     pivot_lower_certificate,
     pivot_upper_certificate,
-    spectral_norm,
     subdiagonal_certificate,
     subdiagonal_envelopes,
     sweep_lemma_bounds,
-    sylvester_trace_A,
     sylvester_trace_A_from_ratios,
     sylvester_trace_shifted,
 )
@@ -52,7 +49,7 @@ def test_generating_function_vectorized():
 
 
 def test_sylvester_A_uniform_two_levels():
-    tr = sylvester_trace_A(build_uniform(2, 2.0))
+    tr = sylvester_trace_A_from_ratios(build_uniform(2, 2.0).ratios)
     assert tr.p == pytest.approx((2.0, 23 / 8))
     assert tr.q[1] == pytest.approx(-0.5)
     assert tr.first_negative is None
@@ -60,11 +57,17 @@ def test_sylvester_A_uniform_two_levels():
 
 
 def test_sylvester_A_grid_and_ratio_forms_agree():
+    # the ratio-only pivots are those of the grid's step-scaled A + A^T:
+    # p_1 ... p_j is its leading j x j minor
     g = certified_grid(make_rng(0), 40)
-    a = sylvester_trace_A(g)
-    b = sylvester_trace_A_from_ratios(g.ratios)
-    np.testing.assert_allclose(a.p, b.p, rtol=1e-15)
-    np.testing.assert_allclose(a.q, b.q, rtol=1e-15)
+    tr = sylvester_trace_A_from_ratios(g.ratios)
+    A = assemble_B(g).A
+    S = A + A.T
+    assert tr.positive
+    minors = [np.linalg.slogdet(S[:j, :j]) for j in range(1, g.n_steps + 1)]
+    assert all(sign == 1.0 for sign, _ in minors)
+    np.testing.assert_allclose(np.cumsum(np.log(tr.p)), [log for _, log in minors],
+                               rtol=0, atol=1e-11)
 
 
 def test_sylvester_A_constant_unit_ratio_stays_positive():
@@ -123,34 +126,12 @@ def test_certification_rejects_steep_chain():
 
 
 def test_lemma_functions_hand_values():
-    vals = lemma_functions(0.0, 0.0, 1.0)
-    assert vals.transfer == pytest.approx(1.0, abs=1e-14)
-    assert vals.pivot_upper == pytest.approx(-2.0, abs=1e-14)
-    assert lemma_functions(1.0, 0.0, 1.0).subdiag == pytest.approx(-0.5, abs=1e-14)
+    assert envelope_transfer_factor(0.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert pivot_upper_certificate(0.0, 0.0) == pytest.approx(-2.0, abs=1e-14)
+    assert subdiagonal_certificate(1.0, 0.0) == pytest.approx(-0.5, abs=1e-14)
     # the lower pivot certificate vanishes when the incoming ratio is zero
     scales = pivot_certificate_scales(0.0, 0.7)
-    assert abs(lemma_functions(0.0, 0.7, 1.0).pivot_lower) <= 1e-12 * scales[0]
-
-
-def test_lemma_functions_reject_points_outside_the_box():
-    with pytest.raises(ValueError):
-        lemma_functions(1.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        lemma_functions(0.0, -0.1, 1.0)
-    with pytest.raises(ValueError):
-        lemma_functions(0.0, 0.0, 2.0)
-
-
-def test_lemma_functions_match_individual_evaluators():
-    rng = make_rng(2)
-    for _ in range(100):
-        x, y = rng.uniform(0.0, 1.405, size=2)
-        k = rng.uniform(0.25, 1.4)
-        vals = lemma_functions(x, y, k)
-        assert vals.transfer == envelope_transfer_factor(x, y, k)
-        assert vals.subdiag == subdiagonal_certificate(x, y)
-        assert vals.pivot_lower == pivot_lower_certificate(x, y)
-        assert vals.pivot_upper == pivot_upper_certificate(x, y)
+    assert abs(pivot_lower_certificate(0.0, 0.7)) <= 1e-12 * scales[0]
 
 
 def test_pivot_certificate_follows_gamma(monkeypatch):

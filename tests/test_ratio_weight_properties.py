@@ -26,10 +26,11 @@ from vsbdf3.ratio_analysis import (  # noqa: E402
     GAMMA,
     _scaled_weights,
     certify_positive_definite,
-    min_symmetric_eigenvalue,
     sylvester_trace_shifted,
 )
 from vsbdf3.time_grid import build_from_ratios  # noqa: E402
+
+from eigen_oracles import min_symmetric_eigenvalue  # noqa: E402
 
 # half the sequences keep every ratio inside the certified bound 1.405, so
 # both certification verdicts occur often

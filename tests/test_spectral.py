@@ -135,6 +135,28 @@ def test_operator_rejects_a_complex_second_derivative_spectrum():
         SpectralOperator("custom", nodes, nodes, np.eye(2), rot, np.ones(4))
 
 
+def test_operator_rejects_an_inaccurate_diagonalisation():
+    # a Jordan block has one eigenvector: eig returns a singular V
+    jordan = np.array([[-2.0, 1.0], [0.0, -2.0]])
+    nodes = np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match="inaccurate"):
+        SpectralOperator("custom", nodes, nodes, np.eye(2), jordan, np.ones(4))
+
+
+@pytest.mark.parametrize("m", [64, 96, 128])
+def test_fourier_shifted_solve_stays_exact_at_large_resolution(m):
+    # independent oracle: the FFT diagonalises the periodic d2 with symbol
+    # -k^2, the Nyquist mode included
+    op = fourier_operator(m)
+    r = np.random.Generator(np.random.PCG64(m)).standard_normal(op.n_unknowns)
+    k2 = np.fft.fftfreq(m, 1.0 / m) ** 2
+    for sigma, eps2 in ((99.0, 0.16), (1.5, 0.16)):
+        symbol = sigma + eps2 * (k2[:, None] + k2[None, :])
+        ref = np.fft.ifft2(np.fft.fft2(r.reshape(m, m)) / symbol).real.ravel()
+        np.testing.assert_allclose(op.solve_shifted(sigma, eps2, r), ref,
+                                   rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
 def test_fourier_operator_requires_even_resolution():
     for bad in (3, 5, 2):
         with pytest.raises(ValueError):
