@@ -9,14 +9,14 @@ the level's row of the grid's kernel-weight table (bdf_kernels), taken
 once per configuration, and the known history terms are apply_D3's sum.
 Nothing is assembled: the residual applies L through the operator's
 tensor structure, and each correction solves with J = (b0 - 1)*I -
-eps2*L + diag(3u^2) by restarted GMRES, right-preconditioned by the exact
-fast-diagonalisation inverse of (b0 - 1 + c)*I - eps2*L, c the midpoint of
-the range of 3u^2.
+eps2*L + diag(3u^2) by one unrestarted GMRES cycle, right-preconditioned by
+the exact fast-diagonalisation inverse of (b0 - 1 + c)*I - eps2*L, c the
+midpoint of the range of 3u^2.
 The inner solve stops once its residual is below max(1e-3*NEWTON_TOL,
 1e-13*|res|) (inexact Newton, Dembo, Eisenstat & Steihaug 1982): three
 orders below the Newton tolerance, so the outer iteration behaves as with
-an exact solve.  An inner solve that does not converge within its iteration
-cap raises SingularJacobianError.
+an exact solve.  An inner solve that does not converge within
+_INNER_MAX_ITER iterations raises SingularJacobianError.
 
 Convergence is max-norm residual <= max(NEWTON_TOL, 4*eps*|rhs|): below
 that the residual is rounding noise of b0*u, which is large on tiny steps.
@@ -91,8 +91,7 @@ class SingularJacobianError(RuntimeError):
 # Max-norm residual at which Newton stops, and its iteration cap.
 NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 50
-# Restart length and total iteration cap of the inner GMRES solve.
-_INNER_RESTART = 50
+# Iteration cap of the inner GMRES solve.
 _INNER_MAX_ITER = 500
 _EPS = float(np.finfo(float).eps)
 
@@ -200,29 +199,28 @@ def step(config: SolverConfig, history, n: int) -> tuple[FieldState, StepDiagnos
     b0 = float(weights[0])
     t_n = float(grid.levels[n])
     known = [state.values for state in history[-3:]]
-    u_prev = known[-1]
 
-    # D3 with u^n replaced by u^(n-1) is the part of the derivative that the
-    # history fixes: b1*du^(n-1) + b2*du^(n-2)
-    rhs = b0 * u_prev - apply_D3(weights, known + [u_prev])
+    # Newton starts from u = u^(n-1).  D3 with u^n replaced by u^(n-1) is the
+    # part of the derivative that the history fixes: b1*du^(n-1) + b2*du^(n-2)
+    u = known[-1]
+    rhs = b0 * u - apply_D3(weights, known + [u])
     if config.forcing == "manufactured":
         X, Y = op.mesh
         rhs = rhs + forcing(X, Y, t_n, eps2)
     tol = max(NEWTON_TOL, 4.0 * _EPS * float(np.max(np.abs(rhs))))
 
-    u = u_prev.copy()
-    res = b0 * u - eps2 * op.laplacian(u) + u**3 - u - rhs
-    res_norm = float(np.max(np.abs(res)))
     inner = []
-    # written so that a NaN residual stays in the loop and raises
-    while not res_norm <= tol:
+    while True:
+        res = b0 * u - eps2 * op.laplacian(u) + u**3 - u - rhs
+        res_norm = float(np.max(np.abs(res)))
+        if res_norm <= tol:
+            break
+        # a NaN residual fails the test above and raises here
         if not math.isfinite(res_norm) or len(inner) >= _NEWTON_MAX_ITER:
             raise NewtonDivergenceError(n, res_norm, len(inner))
         inner_tol = max(1e-3 * NEWTON_TOL, 1e-13 * res_norm)
         du, its = _newton_correction(op, eps2, b0 - 1.0, u, res, inner_tol, n)
         u = u + du
-        res = b0 * u - eps2 * op.laplacian(u) + u**3 - u - rhs
-        res_norm = float(np.max(np.abs(res)))
         inner.append(its)
 
     tau_n = grid.step(n)
@@ -245,66 +243,60 @@ def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.nd
                        res: np.ndarray, tol: float, level: int) -> tuple[np.ndarray, int]:
     """Solve (shift*I - eps2*L + diag(3u^2)) du = -res to 2-norm residual <= tol.
 
-    Restarted GMRES with right preconditioner P = (shift + c)*I - eps2*L,
-    c the midpoint of the range of 3u^2, applied exactly by the operator's
-    fast diagonalisation; the least-squares problem is kept triangular by
-    Givens rotations, whose last right-hand-side entry is the residual norm.
-    Returns du and the number of iterations.
+    One GMRES cycle (Saad & Schultz 1986) of at most _INNER_MAX_ITER
+    iterations, with right preconditioner P = (shift + c)*I - eps2*L, c the
+    midpoint of the range of 3u^2, applied exactly by the operator's fast
+    diagonalisation; the least-squares problem is kept triangular by Givens
+    rotations, whose last right-hand-side entry is the residual norm.  The
+    Krylov basis grows by doubling, so its memory follows the iterations
+    taken.  res must be nonzero.  Returns du and the number of iterations.
     """
     c3 = 3.0 * u * u
     sigma = shift + 0.5 * (float(c3.max()) + float(c3.min()))
     diag = shift + c3
-    du = np.zeros_like(res)
-    r = -res
-    beta = math.sqrt(float(r @ r))
-    its = 0
-    while beta > tol:
-        if its >= _INNER_MAX_ITER:
+    beta = math.sqrt(float(res @ res))
+    m = _INNER_MAX_ITER
+    # 32 rows hold every correction of the study runs (at most 27 iterations)
+    V = np.empty((32, res.size))
+    # every entry of H, cs, sn and g is written before it is read
+    H = np.empty((m + 1, m))
+    cs, sn = np.empty(m), np.empty(m)
+    g = np.empty(m + 1)
+    g[0] = beta
+    V[0] = -res / beta
+    for j in range(m):
+        z = op.solve_shifted(sigma, eps2, V[j])
+        w = diag * z - eps2 * op.laplacian(z)
+        # classical Gram-Schmidt, applied twice for orthogonality
+        h = V[: j + 1] @ w
+        w -= h @ V[: j + 1]
+        h2 = V[: j + 1] @ w
+        w -= h2 @ V[: j + 1]
+        H[: j + 1, j] = h + h2
+        hn = math.sqrt(float(w @ w))
+        H[j + 1, j] = hn
+        for i in range(j):
+            H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                    cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+        d = math.hypot(H[j, j], hn)
+        if not (math.isfinite(d) and d > 0.0):
             raise SingularJacobianError(level)
-        m = min(_INNER_RESTART, _INNER_MAX_ITER - its)
-        V = np.empty((m + 1, r.size))
-        H = np.zeros((m + 1, m))
-        cs, sn = np.empty(m), np.empty(m)
-        g = np.zeros(m + 1)
-        g[0] = beta
-        V[0] = r / beta
-        for j in range(m):
-            z = op.solve_shifted(sigma, eps2, V[j])
-            w = diag * z - eps2 * op.laplacian(z)
-            # classical Gram-Schmidt, applied twice for orthogonality
-            h = V[: j + 1] @ w
-            w -= h @ V[: j + 1]
-            h2 = V[: j + 1] @ w
-            w -= h2 @ V[: j + 1]
-            H[: j + 1, j] = h + h2
-            hn = math.sqrt(float(w @ w))
-            H[j + 1, j] = hn
-            for i in range(j):
-                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
-                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
-            d = math.hypot(H[j, j], hn)
-            if not (math.isfinite(d) and d > 0.0):
-                raise SingularJacobianError(level)
-            cs[j], sn[j] = H[j, j] / d, hn / d
-            H[j, j] = d
-            g[j + 1] = -sn[j] * g[j]
-            g[j] *= cs[j]
-            its += 1
-            done = abs(g[j + 1]) <= tol
-            if done or j + 1 == m:
-                break
-            V[j + 1] = w / hn
-        k = j + 1
-        y = np.empty(k)
-        for i in range(k - 1, -1, -1):
-            y[i] = (g[i] - H[i, i + 1 : k] @ y[i + 1 : k]) / H[i, i]
-        du += op.solve_shifted(sigma, eps2, y @ V[:k])
-        if done:
+        cs[j], sn[j] = H[j, j] / d, hn / d
+        H[j, j] = d
+        g[j + 1] = -sn[j] * g[j]
+        g[j] *= cs[j]
+        if abs(g[j + 1]) <= tol:
             break
-        # restart from the true residual
-        r = -res - (diag * du - eps2 * op.laplacian(du))
-        beta = math.sqrt(float(r @ r))
-    return du, its
+        if j + 1 == len(V):
+            V = np.concatenate((V, np.empty_like(V)))
+        V[j + 1] = w / hn
+    else:
+        raise SingularJacobianError(level)
+    k = j + 1
+    y = np.empty(k)
+    for i in range(k - 1, -1, -1):
+        y[i] = (g[i] - H[i, i + 1 : k] @ y[i + 1 : k]) / H[i, i]
+    return op.solve_shifted(sigma, eps2, y @ V[:k]), k
 
 
 def run(config: SolverConfig) -> RunResult:

@@ -4,7 +4,8 @@ Subcommands mirror the study workflows; all numeric output files are byte
 deterministic for a fixed invocation, and no wall-clock time is recorded.
 Exit codes: 0 success / property certified, 1 analyzed property violated,
 2 usage error, 3 solver failure (Newton divergence or a non-converging
-inner solve).
+inner solve).  Commands raise ValueError on bad input; main prints it as
+one "error:" line on stderr, as it does solver failures.
 """
 
 from __future__ import annotations
@@ -183,14 +184,7 @@ def _say(args, message: str) -> None:
 
 
 def cmd_convergence(args) -> int:
-    if args.case == "2" and args.seed is None:
-        print("error: --case 2 needs --seed", file=sys.stderr)
-        return 2
-    try:
-        reports = run_convergence(args.case, args.eps2, args.n, args.m, seed=args.seed)
-    except (NewtonDivergenceError, SingularJacobianError) as exc:
-        print(f"error: case {args.case} run failed: {exc}", file=sys.stderr)
-        return 3
+    reports = run_convergence(args.case, args.eps2, args.n, args.m, seed=args.seed)
     for report in reports:
         _say(args, f"case {report.case}  eps2={report.eps2:g}  M={report.m}")
         for row in report.rows:
@@ -207,8 +201,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_ratio_figure(args) -> int:
     if args.length < 2:
-        print("error: --length must be at least 2", file=sys.stderr)
-        return 2
+        raise ValueError("--length must be at least 2")
     trace = sylvester_trace_A_from_ratios([args.ratio] * (args.length - 1))
     lines = ["j,p"]
     for j, pj in enumerate(trace.p, start=1):
@@ -251,9 +244,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    if args.tau <= 0 or args.steps < 1:
-        print("error: --tau must be positive and --steps >= 1", file=sys.stderr)
-        return 2
     if args.seed is None:
         grid = build_from_steps((args.tau,) * args.steps)
     else:
@@ -302,8 +292,7 @@ _PROBE_FUNCTIONS = {
 def cmd_consistency(args) -> int:
     bad = [n for n in args.levels if n < 3]
     if bad:
-        print(f"error: level counts must be >= 3, got {bad}", file=sys.stderr)
-        return 2
+        raise ValueError(f"level counts must be >= 3, got {bad}")
     v, v_prime = _PROBE_FUNCTIONS[args.function]
     lines = ["N,tau,max_eta"]
     for n in sorted(set(args.levels)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdf_kernels import ratio_weights
+from .bdf_kernels import _require_finite, ratio_weights
 from .time_grid import DEFAULT_RATIO_THRESHOLD, TimeGrid
 
 __all__ = [
@@ -157,13 +157,20 @@ def sylvester_trace_shifted(grid: TimeGrid) -> SylvesterTrace:
 
     The shifted diagonal (2*beta_0 - 2*gamma) / tau absorbs both the
     transpose doubling and the shift; sub- and sub-subdiagonal entries are
-    the plain kernel weights beta_k / tau.
+    the plain kernel weights beta_k / tau.  A step so small that these
+    entries overflow raises ValueError.
     """
     tau = np.asarray(grid.steps)
     r = np.asarray(grid.ratios, dtype=float)
-    beta = ratio_weights(r)
-    diag = (2.0 * beta[:, 0] - 2.0 * GAMMA) / tau
-    p, q, first = _pivot_recursion(diag, beta[:, 1] / tau, beta[:, 2] / tau)
+    band = ratio_weights(r)
+    band[:, 0] = 2.0 * band[:, 0] - 2.0 * GAMMA
+    try:
+        with np.errstate(over="raise"):
+            band /= tau[:, None]
+    except FloatingPointError:
+        # numpy stores the quotients before it raises; name the first bad level
+        _require_finite(band, "shifted diagonal, b1, b2", lambda n: f"step {grid.steps[n - 1]!r}")
+    p, q, first = _pivot_recursion(band[:, 0], band[:, 1], band[:, 2])
     mu, nu = np.zeros((2, grid.n_steps))
     mu[2:], nu[2:] = subdiagonal_envelopes(tau[2:], r[1:], r[:-1])
     return SylvesterTrace(p=p, q=q, first_negative=first,

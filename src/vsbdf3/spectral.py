@@ -53,15 +53,13 @@ _MAX_DIAGONALISATION_ERROR = 1e-10
 class SpectralOperator:
     """Discrete Laplacian, gradient components and quadrature on the unknowns.
 
-    nodes_x/nodes_y are the 1-D unknown coordinates, d1/d2 the 1-D first-
-    and second-derivative matrices acting along either axis, and w holds the
+    nodes are the 1-D unknown coordinates and d1/d2 the 1-D first- and
+    second-derivative matrices, all shared by both axes, and w holds the
     area quadrature weight of each unknown.  Arrays are read-only.  The
     methods take and return row-major flattened fields.
     """
 
-    kind: str
-    nodes_x: np.ndarray
-    nodes_y: np.ndarray
+    nodes: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
     w: np.ndarray
@@ -99,8 +97,8 @@ class SpectralOperator:
     @cached_property
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """Flattened (X, Y) coordinates of the unknowns, y slow, x fast."""
-        X = np.tile(self.nodes_x, self.nodes_y.size)
-        Y = np.repeat(self.nodes_y, self.nodes_x.size)
+        X = np.tile(self.nodes, self.nodes.size)
+        Y = np.repeat(self.nodes, self.nodes.size)
         return _ro(X), _ro(Y)
 
     @property
@@ -196,18 +194,12 @@ def chebyshev_operator(m: int) -> SpectralOperator:
     if m < 2:
         raise ValueError(f"need m >= 2 for interior unknowns, got {m}")
     x, D = chebyshev_diff_matrix(m)
-    D2 = D @ D
     inner = slice(1, m)
-    d2 = D2[inner, inner]
-    d1 = D[inner, inner]
-    nodes = x[inner].copy()
     w1 = open_chebyshev_weights(m)
     return SpectralOperator(
-        kind="chebyshev",
-        nodes_x=_ro(nodes),
-        nodes_y=_ro(nodes.copy()),
-        d1=_ro(d1.copy()),
-        d2=_ro(d2.copy()),
+        nodes=_ro(x[inner].copy()),
+        d1=_ro(D[inner, inner].copy()),
+        d2=_ro((D @ D)[inner, inner].copy()),
         w=_ro(np.kron(w1, w1)),
     )
 
@@ -227,9 +219,7 @@ def fourier_operator(m: int) -> SpectralOperator:
     np.fill_diagonal(D1, 0.0)
     np.fill_diagonal(D2, -np.pi**2 / (3.0 * h**2) - 1.0 / 6.0)
     return SpectralOperator(
-        kind="fourier",
-        nodes_x=_ro(nodes),
-        nodes_y=_ro(nodes.copy()),
+        nodes=_ro(nodes),
         d1=_ro(D1),
         d2=_ro(D2),
         w=_ro(np.full(m * m, h * h)),

@@ -92,12 +92,17 @@ class TimeGrid:
 
     @staticmethod
     def from_json(text: str) -> "TimeGrid":
+        """Parse {"T": ..., "steps": [...]}, whose values must be JSON numbers."""
         data = json.loads(text)
         try:
-            horizon = float(data["T"])
-            steps = [float(s) for s in data["steps"]]
+            horizon, steps = data["T"], list(data["steps"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"grid JSON needs 'T' and 'steps' fields: {exc}") from exc
+        for value in (horizon, *steps):
+            # bool is a subclass of int, so test the exact type
+            if type(value) not in (int, float):
+                raise ValueError(f"grid JSON 'T' and 'steps' must be numbers, got {value!r}")
+        horizon = float(horizon)
         if not math.isfinite(horizon):
             raise ValueError(f"grid JSON horizon must be finite, got T = {horizon!r}")
         grid = build_from_steps(steps)

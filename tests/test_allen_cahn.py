@@ -138,11 +138,20 @@ def test_large_steps_keep_the_dense_newton_counts(kind, m, eps2, counts):
         assert all(k >= 1 for k in d.inner_iterations)
 
 
-def test_short_gmres_restarts_keep_the_newton_counts(monkeypatch):
-    monkeypatch.setattr(allen_cahn, "_INNER_RESTART", 3)
-    res = run(_large_step_config(chebyshev_operator(12), 0.01))
-    assert [d.newton_iterations for d in res.diagnostics] == [7, 5, 4, 3]
-    assert max(k for d in res.diagnostics for k in d.inner_iterations) > 3
+def test_rough_fields_converge_within_one_gmres_cycle():
+    # random per-node u near b0 = 1 leaves the midpoint preconditioner weak;
+    # restarted GMRES took 150-350 iterations on these, one cycle at most n
+    op = fourier_operator(8)
+    n, tol = op.n_unknowns, 1e-13
+    for seed in range(6):
+        rng = make_rng(seed)
+        u = rng.uniform(-2.0, 2.0, n)
+        eps2, shift = rng.uniform(1e-3, 5e-3), rng.uniform(1e-3, 2e-2)
+        res = rng.standard_normal(n)
+        du, its = allen_cahn._newton_correction(op, eps2, shift, u, res, tol, 1)
+        jacobian = shift * np.eye(n) - eps2 * op.L + np.diag(3.0 * u * u)
+        assert its <= n
+        assert np.linalg.norm(jacobian @ du + res) <= 10.0 * tol
 
 
 def test_non_converging_inner_solve_raises(monkeypatch):

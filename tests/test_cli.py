@@ -127,10 +127,17 @@ def test_certify_exit_codes(tmp_path, capsys):
     # the ratio 1e300 overflows the closed-form weights
     overflow = tmp_path / "overflow.json"
     overflow.write_text('{"T": 2e150, "steps": [1e-150, 1e-150, 1e150, 1e150]}')
+    # a subnormal step overflows the shifted diagonal 2*(beta_0 - gamma)/tau
+    subnormal = tmp_path / "subnormal.json"
+    subnormal.write_text('{"T": 1.0, "steps": [0.5, 0.5, 1e-320]}')
+    boolean = tmp_path / "boolean.json"
+    boolean.write_text('{"T": 2, "steps": [1, true]}')
+    strings = tmp_path / "strings.json"
+    strings.write_text('{"T": "1", "steps": ["0.5", "0.5"]}')
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for path in (negative, not_json, nan_horizon, overflow):
+        for path in (negative, not_json, nan_horizon, overflow, subnormal, boolean, strings):
             assert main(["--quiet", "certify", "--grid", str(path)]) == 2
             assert main(["--quiet", "kernels", "--grid", str(path),
                          "--out", str(tmp_path / "mats")]) == 2

@@ -84,7 +84,7 @@ def test_chebyshev_operator_shapes_and_mesh_order():
     assert op.L.shape == (k * k, k * k)
     x, y = op.mesh
     # x varies fastest within a row of constant y
-    np.testing.assert_allclose(x[:k], op.nodes_x)
+    np.testing.assert_allclose(x[:k], op.nodes)
     assert np.all(y[:k] == y[0])
     assert op.domain_area == pytest.approx(4.0)
     assert math.fsum(op.w) == pytest.approx(4.0, abs=1e-12)
@@ -107,7 +107,7 @@ def test_chebyshev_interior_restriction_encodes_boundary_zero():
     # operator rows act on interior values only: for u vanishing on the
     # boundary the interior Laplacian is complete, no ghost terms
     op = chebyshev_operator(8)
-    assert 1.0 not in op.nodes_x and -1.0 not in op.nodes_x
+    assert 1.0 not in op.nodes and -1.0 not in op.nodes
 
 
 def test_fourier_operator_trigonometric_eigenfunctions():
@@ -132,7 +132,7 @@ def test_operator_rejects_a_complex_second_derivative_spectrum():
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
     nodes = np.array([0.0, 1.0])
     with pytest.raises(ValueError, match="complex spectrum"):
-        SpectralOperator("custom", nodes, nodes, np.eye(2), rot, np.ones(4))
+        SpectralOperator(nodes, np.eye(2), rot, np.ones(4))
 
 
 def test_operator_rejects_an_inaccurate_diagonalisation():
@@ -140,7 +140,7 @@ def test_operator_rejects_an_inaccurate_diagonalisation():
     jordan = np.array([[-2.0, 1.0], [0.0, -2.0]])
     nodes = np.array([0.0, 1.0])
     with pytest.raises(ValueError, match="inaccurate"):
-        SpectralOperator("custom", nodes, nodes, np.eye(2), jordan, np.ones(4))
+        SpectralOperator(nodes, np.eye(2), jordan, np.ones(4))
 
 
 @pytest.mark.parametrize("m", [64, 96, 128])
