@@ -7,9 +7,10 @@ table of ratio parts beta_k (ratio_weights, built from one array call into
 each closed form) is the single source for every other form: the kernel
 weights b_k of every level (kernel_weights, which time stepping reads once
 per grid), the kernel matrix B, the step-scaled A = Lambda^{1/2} B
-Lambda^{1/2}, and the shifted and scaled entries certified in
-ratio_analysis.  apply_D3 is the one place the backward-difference sum is
-written; the N x N matrices exist for analysis and diagnostics.
+Lambda^{1/2} and its entries traced in ratio_analysis; the shifted
+certification calls the closed forms level by level, with the same bits.
+apply_D3 is the one place the backward-difference sum is written; the
+N x N matrices exist for analysis and diagnostics.
 
 The inverse kernels (rows of D = B^{-1}) are computed by the backward
 recursion that defines them, one column at a time, exploiting that B has
@@ -60,12 +61,14 @@ def bdf2_weights(tau2, r2):
 def bdf3_weights(tau_n, r_n, r_nm1):
     """Three-step weights (b0, b1, b2) from the step and the two trailing ratios.
 
-    The arguments may be scalars or arrays of one shape.
+    The arguments may be scalars or arrays of one shape; products, not powers,
+    keep their bits equal.
     """
     den = tau_n * (1.0 + r_n) * (1.0 + r_nm1) * (1.0 + r_nm1 + r_n * r_nm1)
-    b0 = (1.0 + r_nm1) * (1.0 + 2.0 * r_n + r_nm1 * (1.0 + 4.0 * r_n + 3.0 * r_n**2)) / den
-    b1 = -(r_n**2) * ((1.0 + 2.0 * r_nm1 + r_n * r_nm1) ** 2 - r_nm1 * (1.0 + r_nm1)) / den
-    b2 = (r_n**2) * (r_nm1**3) * (1.0 + r_n) ** 2 / den
+    rr, mix = r_n * r_n, 1.0 + 2.0 * r_nm1 + r_n * r_nm1
+    b0 = (1.0 + r_nm1) * (1.0 + 2.0 * r_n + r_nm1 * (1.0 + 4.0 * r_n + 3.0 * rr)) / den
+    b1 = -rr * (mix * mix - r_nm1 * (1.0 + r_nm1)) / den
+    b2 = rr * (r_nm1 * r_nm1 * r_nm1) * ((1.0 + r_n) * (1.0 + r_n)) / den
     return b0, b1, b2
 
 
@@ -106,10 +109,14 @@ def _require_finite(table: np.ndarray, names: str, cause) -> np.ndarray:
     non-finite weight; cause(n) describes the grid data of level n."""
     if not np.isfinite(table).all():
         n = int(np.flatnonzero(~np.isfinite(table).all(axis=1))[0]) + 1
-        values = ", ".join(repr(float(v)) for v in table[n - 1])
-        raise ValueError(f"level {n}: {cause(n)} gives non-finite kernel weights "
-                         f"{names} = {values}")
+        raise _non_finite(n, cause(n), names, table[n - 1])
     return table
+
+
+def _non_finite(n: int, cause: str, names: str, values) -> ValueError:
+    """The error for level n, whose data (cause) gives the non-finite weights."""
+    values = ", ".join(repr(float(v)) for v in values)
+    return ValueError(f"level {n}: {cause} gives non-finite kernel weights {names} = {values}")
 
 
 def assemble_B(grid: TimeGrid) -> KernelMatrices:

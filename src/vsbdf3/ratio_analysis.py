@@ -3,10 +3,10 @@
 Positive definiteness of the kernel matrices is decided by running the
 symmetric-elimination pivot recursion on their banded entries (Sylvester's
 criterion applied minor by minor) and stopping at the first nonpositive
-pivot.  The banded entries, step-scaled or gamma-shifted, are derived from
-the one ratio-weight table of bdf_kernels.  The closed-form certificate
-functions bound those pivots and the subdiagonal couplings on the certified
-ratio box [0, 1.405]^2.
+pivot.  The step-scaled entries come from the ratio-weight table of
+bdf_kernels, the gamma-shifted ones from its closed forms, one level at a
+time up to that pivot.  The closed-form certificate functions bound those
+pivots and the subdiagonal couplings on the certified ratio box [0, 1.405]^2.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdf_kernels import _require_finite, ratio_weights
+from .bdf_kernels import _non_finite, bdf2_weights, bdf3_weights, ratio_weights
 from .time_grid import DEFAULT_RATIO_THRESHOLD, TimeGrid
 
 __all__ = [
@@ -61,8 +61,8 @@ class SylvesterTrace:
     so both run over the same levels.  When a nonpositive pivot appears the
     recursion stops there: first_negative is its 1-based level and p/q end
     at that level.  mu/nu carry the coupling envelopes of the shifted
-    variant for every grid level (zero for levels 1 and 2); they are None
-    for the dimensionless variant.
+    variant over the same levels as p/q (zero for levels 1 and 2); they
+    are None for the dimensionless variant.
     """
 
     p: tuple[float, ...]
@@ -103,27 +103,25 @@ def generating_function(r: float, x) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def _pivot_recursion(diag, sub, subsub):
+def _pivot_recursion(rows):
     """Shared elimination core on the banded entries of S = K + K^T.
 
-    Entry i (0-based) of each array belongs to level i+1: diag[i] is the
-    full diagonal entry, sub[i] the (i, i-1) entry (i >= 1), subsub[i] the
-    (i, i-2) entry (i >= 2).  Returns (p, q, first_negative) with the
-    early-stop convention of SylvesterTrace.
+    rows yields (diag, sub, subsub) per level from level 1 on: the full
+    diagonal entry and the entries coupling the level to the one and two
+    before it, exact zeros where no such level exists.  No row is taken
+    after the first nonpositive pivot (the early stop of SylvesterTrace).
     """
-    diag, sub, subsub = diag.tolist(), sub.tolist(), subsub.tolist()
-    p, q = [diag[0]], [0.0]
-    if len(diag) >= 2 and p[0] > 0.0:
-        q.append(sub[1])
-        p.append(diag[1] - sub[1] * sub[1] / p[0])
-        for j in range(2, len(diag)):
-            if p[-1] <= 0.0:
-                break
-            qj = sub[j] - (q[j - 1] / p[j - 2]) * subsub[j]
-            q.append(qj)
-            p.append(diag[j] - subsub[j] ** 2 / p[j - 2] - qj * qj / p[j - 1])
-    first_negative = len(p) if p[-1] <= 0.0 else None
-    return tuple(p), tuple(q), first_negative
+    p, q = [], []
+    p1 = p2 = 1.0  # stand-ins for the pivots before level 1, met by zero couplings
+    q1 = 0.0
+    for diag, sub, subsub in rows:
+        q1 = sub - (q1 / p2) * subsub
+        p2, p1 = p1, diag - subsub ** 2 / p2 - q1 * q1 / p1
+        p.append(p1)
+        q.append(q1)
+        if p1 <= 0.0:
+            return tuple(p), tuple(q), len(p)
+    return tuple(p), tuple(q), None
 
 
 def sylvester_trace_A_from_ratios(ratios) -> SylvesterTrace:
@@ -136,18 +134,18 @@ def sylvester_trace_A_from_ratios(ratios) -> SylvesterTrace:
     ratios = np.asarray(ratios, dtype=float)
     if np.any(~np.isfinite(ratios)) or np.any(ratios <= 0.0):
         raise ValueError("ratios must be positive and finite")
-    a = _scaled_weights(ratios)
-    p, q, first = _pivot_recursion(2.0 * a[:, 0], a[:, 1], a[:, 2])
+    rows = ((2.0 * a0, a1, a2) for a0, a1, a2 in _scaled_weights(ratios).tolist())
+    p, q, first = _pivot_recursion(rows)
     return SylvesterTrace(p=p, q=q, first_negative=first)
 
 
 def subdiagonal_envelopes(tau_j, r_j, r_jm1):
     """Envelope pair (mu_j, nu_j) bracketing the coupling q_j for j >= 3.
 
-    The arguments may be scalars or arrays of one shape.
+    The arguments may be scalars or arrays of one shape (same bits either way).
     """
-    base = (r_j**2) * (r_jm1**4) * (1.0 + r_j) / (
-        tau_j * (1.0 + r_jm1) ** 2 * (1.0 + r_jm1 + r_j * r_jm1)
+    base = (r_j * r_j) * (r_jm1 * r_jm1 * r_jm1 * r_jm1) * (1.0 + r_j) / (
+        tau_j * ((1.0 + r_jm1) * (1.0 + r_jm1)) * (1.0 + r_jm1 + r_j * r_jm1)
     )
     return KAPPA_MIN * base, KAPPA_MAX * base
 
@@ -155,26 +153,34 @@ def subdiagonal_envelopes(tau_j, r_j, r_jm1):
 def sylvester_trace_shifted(grid: TimeGrid) -> SylvesterTrace:
     """Pivot recursion for the gamma-shifted kernel matrix B - gamma*Lambda^{-1}.
 
-    The shifted diagonal (2*beta_0 - 2*gamma) / tau absorbs both the
-    transpose doubling and the shift; sub- and sub-subdiagonal entries are
-    the plain kernel weights beta_k / tau.  A step so small that these
-    entries overflow raises ValueError.
+    One pass over the levels on Python floats, which evaluates no level
+    after the first nonpositive pivot.  The shifted diagonal (2*beta_0 -
+    2*gamma) / tau absorbs the transpose doubling and the shift, couplings
+    are beta_k / tau, with beta_k from the closed forms.  A level whose
+    ratio or step makes these entries overflow raises ValueError.
     """
-    tau = np.asarray(grid.steps)
-    r = np.asarray(grid.ratios, dtype=float)
-    band = ratio_weights(r)
-    band[:, 0] = 2.0 * band[:, 0] - 2.0 * GAMMA
-    try:
-        with np.errstate(over="raise"):
-            band /= tau[:, None]
-    except FloatingPointError:
-        # numpy stores the quotients before it raises; name the first bad level
-        _require_finite(band, "shifted diagonal, b1, b2", lambda n: f"step {grid.steps[n - 1]!r}")
-    p, q, first = _pivot_recursion(band[:, 0], band[:, 1], band[:, 2])
-    mu, nu = np.zeros((2, grid.n_steps))
-    mu[2:], nu[2:] = subdiagonal_envelopes(tau[2:], r[1:], r[:-1])
-    return SylvesterTrace(p=p, q=q, first_negative=first,
-                          mu=tuple(mu.tolist()), nu=tuple(nu.tolist()))
+    tau, envelopes = grid.steps, []
+
+    def rows():
+        for n, t in enumerate(tau, 1):
+            if n == 1:
+                beta, env = (1.0, 0.0, 0.0), (0.0, 0.0)
+            elif n == 2:
+                r = t / tau[0]
+                beta, env = (*bdf2_weights(1.0, r), 0.0), (0.0, 0.0)
+            else:
+                r_prev, r = r, t / tau[n - 2]
+                beta, env = bdf3_weights(1.0, r, r_prev), subdiagonal_envelopes(t, r, r_prev)
+            diag, sub, subsub = (2.0 * beta[0] - 2.0 * GAMMA) / t, beta[1] / t, beta[2] / t
+            if not (math.isfinite(diag) and math.isfinite(sub) and math.isfinite(subsub)):
+                if not all(map(math.isfinite, beta)):
+                    raise _non_finite(n, f"step ratio r_{n} = {r!r}", "beta_0, beta_1, beta_2", beta)
+                raise _non_finite(n, f"step {t!r}", "shifted diagonal, b1, b2", (diag, sub, subsub))
+            envelopes.append(env)
+            yield diag, sub, subsub
+
+    p, q, first = _pivot_recursion(rows())
+    return SylvesterTrace(p, q, first, *zip(*envelopes))
 
 
 def certify_positive_definite(grid: TimeGrid) -> tuple[bool, SylvesterTrace]:

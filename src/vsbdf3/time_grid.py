@@ -93,19 +93,18 @@ class TimeGrid:
     @staticmethod
     def from_json(text: str) -> "TimeGrid":
         """Parse {"T": ..., "steps": [...]}, whose values must be JSON numbers."""
-        data = json.loads(text)
+        # integers parse as floats, so one too large for a float is inf, rejected below
+        data = json.loads(text, parse_int=float)
         try:
-            horizon, steps = data["T"], list(data["steps"])
+            horizon, steps = data["T"], tuple(data["steps"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"grid JSON needs 'T' and 'steps' fields: {exc}") from exc
         for value in (horizon, *steps):
-            # bool is a subclass of int, so test the exact type
-            if type(value) not in (int, float):
+            if type(value) is not float:
                 raise ValueError(f"grid JSON 'T' and 'steps' must be numbers, got {value!r}")
-        horizon = float(horizon)
         if not math.isfinite(horizon):
             raise ValueError(f"grid JSON horizon must be finite, got T = {horizon!r}")
-        grid = build_from_steps(steps)
+        grid = TimeGrid(steps)
         if abs(grid.horizon - horizon) > 1e-12 * abs(horizon):
             raise ValueError(
                 f"grid JSON inconsistent: steps sum to {grid.horizon!r}, T = {horizon!r}"

@@ -134,16 +134,43 @@ def test_certify_exit_codes(tmp_path, capsys):
     boolean.write_text('{"T": 2, "steps": [1, true]}')
     strings = tmp_path / "strings.json"
     strings.write_text('{"T": "1", "steps": ["0.5", "0.5"]}')
+    # integers too large for a float, as the horizon and as a step
+    huge_horizon = tmp_path / "huge_horizon.json"
+    huge_horizon.write_text('{"T": 1%s, "steps": [1.0]}' % ("0" * 400))
+    huge_step = tmp_path / "huge_step.json"
+    huge_step.write_text('{"T": 2.0, "steps": [1.0, 1%s]}' % ("0" * 400))
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for path in (negative, not_json, nan_horizon, overflow, subnormal, boolean, strings):
+        for path in (negative, not_json, nan_horizon, overflow, subnormal, boolean, strings,
+                     huge_horizon, huge_step):
             assert main(["--quiet", "certify", "--grid", str(path)]) == 2
             assert main(["--quiet", "kernels", "--grid", str(path),
                          "--out", str(tmp_path / "mats")]) == 2
             assert not (tmp_path / "mats").exists()
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
+def test_certify_reads_no_level_after_the_first_nonpositive_pivot(tmp_path, capsys):
+    # both grids stop at level 2; the first would overflow level 3's
+    # envelopes (r_2^4 with r_2 = 1e100), the second level 5's weights
+    # (r_5 = 1e300), which the kernels command still builds
+    envelope = tmp_path / "envelope.json"
+    envelope.write_text('{"T": 2.0, "steps": [1e-100, 1.0, 1.0]}')
+    late = tmp_path / "late_overflow.json"
+    late.write_text('{"T": 1e150, "steps": [1.0, 44.0, 1.0, 1e-150, 1e150]}')
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in (envelope, late):
+            assert main(["certify", "--grid", str(path)]) == 1
+            out = capsys.readouterr()
+            assert out.out.splitlines()[-1] == "NOT certified: first nonpositive pivot at level 2"
+            assert out.err == ""
+        assert main(["--quiet", "kernels", "--grid", str(late),
+                     "--out", str(tmp_path / "mats")]) == 2
+    assert capsys.readouterr().err.startswith("error: level 5: step ratio r_5 = ")
 
 
 def test_ratio_figure_rejects_overflowing_ratio(tmp_path, capsys):

@@ -2,12 +2,14 @@
 
 Ratio sequences are drawn with N <= 12 levels (N <= 40 for the inverse
 kernels) and ratios in [0.02, 44], the range of the random-step
-convergence grids.  The references are the closed forms evaluated at each
-level's (tau_n, r_n, r_{n-1}), the dense matrices of assemble_B, the
-identity D B = I, and the Jacobi eigenvalue oracle.
+convergence grids, plus extreme ratios that overflow the closed forms.
+The references are the closed forms evaluated at each level's (tau_n, r_n,
+r_{n-1}), the dense matrices of assemble_B, the identity D B = I, the
+Jacobi eigenvalue oracle, and the table path of the shifted trace.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from vsbdf3.bdf_kernels import (  # noqa: E402
+    _require_finite,
     assemble_B,
     bdf2_weights,
     bdf3_weights,
@@ -26,6 +29,7 @@ from vsbdf3.ratio_analysis import (  # noqa: E402
     GAMMA,
     _scaled_weights,
     certify_positive_definite,
+    subdiagonal_envelopes,
     sylvester_trace_shifted,
 )
 from vsbdf3.time_grid import build_from_ratios  # noqa: E402
@@ -36,6 +40,19 @@ from eigen_oracles import min_symmetric_eigenvalue  # noqa: E402
 # both certification verdicts occur often
 ratio_lists = st.sampled_from([1.405, 44.0]).flatmap(
     lambda cap: st.lists(st.floats(min_value=0.02, max_value=cap), max_size=11))
+EXTREMES = (1e-300, 1e-200, 1e200, 1e300)
+ratio_values = st.floats(min_value=0.02, max_value=44.0) | st.sampled_from(EXTREMES)
+# ratio lists with up to two extreme ratios at drawn positions
+extreme_ratio_lists = st.tuples(
+    ratio_lists,
+    st.lists(st.tuples(st.integers(0, 11), st.sampled_from(EXTREMES)), max_size=2),
+).map(lambda drawn: _insert(*drawn))
+
+
+def _insert(ratios, extremes):
+    for at, r in extremes:
+        ratios.insert(min(at, len(ratios)), r)
+    return ratios
 
 
 @settings(max_examples=150, deadline=None)
@@ -116,3 +133,65 @@ def test_certification_agrees_with_eigen_oracle(ratios):
     lam = min_symmetric_eigenvalue(S)
     assume(abs(lam) > 1e-9 * np.max(np.abs(S)))
     assert ok == (lam > 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(ratio_values, ratio_values, ratio_values), min_size=1, max_size=8))
+def test_closed_forms_give_the_same_bits_on_floats_and_arrays(args):
+    tau, r, s = (np.array(column) for column in zip(*args))
+    with np.errstate(all="ignore"):
+        arrays = [*bdf2_weights(tau, r), *bdf3_weights(tau, r, s),
+                  *subdiagonal_envelopes(tau, r, s)]
+    # on Python floats an overflow gives inf or nan, never an exception
+    floats = [[*bdf2_weights(t, x), *bdf3_weights(t, x, y), *subdiagonal_envelopes(t, x, y)]
+              for t, x, y in args]
+    assert np.array(floats).T.tobytes() == np.array(arrays).tobytes()
+
+
+def _table_trace(g, levels):
+    """Shifted trace of the grid's first levels by the table path: the
+    ratio_weights table over tau, then a plain elimination."""
+    tau, r = np.asarray(g.steps[:levels]), np.asarray(g.ratios[:levels - 1])
+    band = ratio_weights(r)
+    band[:, 0] = 2.0 * band[:, 0] - 2.0 * GAMMA
+    with np.errstate(over="ignore"):
+        band /= tau[:, None]
+    diag, sub, subsub = _require_finite(band, "shifted diagonal, b1, b2",
+                                        lambda n: f"step {g.steps[n - 1]!r}").T.tolist()
+    p, q = [diag[0]], [0.0]
+    if levels >= 2 and p[0] > 0.0:
+        q.append(sub[1])
+        p.append(diag[1] - sub[1] * sub[1] / p[0])
+        for j in range(2, levels):
+            if p[-1] <= 0.0:
+                break
+            q.append(sub[j] - (q[j - 1] / p[j - 2]) * subsub[j])
+            p.append(diag[j] - subsub[j] ** 2 / p[j - 2] - q[j] * q[j] / p[j - 1])
+    mu, nu = np.zeros((2, levels))
+    with np.errstate(all="ignore"):
+        mu[2:], nu[2:] = subdiagonal_envelopes(tau[2:], r[1:], r[:-1])
+    first = len(p) if p[-1] <= 0.0 else None
+    return p, q, first, mu[:len(p)], nu[:len(p)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(extreme_ratio_lists)
+def test_lazy_shifted_trace_is_the_table_trace_up_to_the_stop(ratios):
+    try:
+        g = build_from_ratios(ratios, 1.0)
+    except ValueError:  # extremes of one sign underflow a step to zero
+        assume(False)
+    try:
+        tr = sylvester_trace_shifted(g)
+    except ValueError as exc:
+        # the levels before the one named all pass without a stop, and the
+        # table path over the levels read raises the same error
+        level = int(re.match(r"level (\d+):", str(exc)).group(1))
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            _table_trace(g, level)
+        assert level == 1 or _table_trace(g, level - 1)[2] is None
+        return
+    p, q, first, mu, nu = _table_trace(g, len(tr.p))
+    assert tr.first_negative == first
+    for got, want in ((tr.p, p), (tr.q, q), (tr.mu, mu), (tr.nu, nu)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
