@@ -5,8 +5,8 @@ symmetric-elimination pivot recursion on their banded entries (Sylvester's
 criterion applied minor by minor) and stopping at the first nonpositive
 pivot.  The step-scaled entries come from the ratio-weight table of
 bdf_kernels, the gamma-shifted ones from its closed forms, one level at a
-time up to that pivot.  The closed-form certificate functions bound those
-pivots and the subdiagonal couplings on the certified ratio box [0, 1.405]^2.
+time up to that pivot on power-of-two-scaled steps.  The closed-form
+certificates bound those pivots and couplings on the ratio box [0, 1.405]^2.
 """
 
 from __future__ import annotations
@@ -60,16 +60,13 @@ class SylvesterTrace:
     p[j-1] holds p_j; q is padded with q_1 = 0 (no coupling exists at j=1)
     so both run over the same levels.  When a nonpositive pivot appears the
     recursion stops there: first_negative is its 1-based level and p/q end
-    at that level.  mu/nu carry the coupling envelopes of the shifted
-    variant over the same levels as p/q (zero for levels 1 and 2); they
-    are None for the dimensionless variant.
+    at that level.  The shifted variant's coupling envelopes for j >= 3 are
+    subdiagonal_envelopes(tau[2:], r[1:], r[:-1]) on the grid's arrays.
     """
 
     p: tuple[float, ...]
     q: tuple[float, ...]
     first_negative: int | None = None
-    mu: tuple[float, ...] | None = None
-    nu: tuple[float, ...] | None = None
 
     @property
     def positive(self) -> bool:
@@ -116,7 +113,7 @@ def _pivot_recursion(rows):
     q1 = 0.0
     for diag, sub, subsub in rows:
         q1 = sub - (q1 / p2) * subsub
-        p2, p1 = p1, diag - subsub ** 2 / p2 - q1 * q1 / p1
+        p2, p1 = p1, diag - subsub * subsub / p2 - q1 * q1 / p1
         p.append(p1)
         q.append(q1)
         if p1 <= 0.0:
@@ -132,6 +129,8 @@ def sylvester_trace_A_from_ratios(ratios) -> SylvesterTrace:
     materializing a step sequence.
     """
     ratios = np.asarray(ratios, dtype=float)
+    if ratios.ndim != 1:
+        raise ValueError("ratios must be a 1-D sequence")
     if np.any(~np.isfinite(ratios)) or np.any(ratios <= 0.0):
         raise ValueError("ratios must be positive and finite")
     rows = ((2.0 * a0, a1, a2) for a0, a1, a2 in _scaled_weights(ratios).tolist())
@@ -156,31 +155,34 @@ def sylvester_trace_shifted(grid: TimeGrid) -> SylvesterTrace:
     One pass over the levels on Python floats, which evaluates no level
     after the first nonpositive pivot.  The shifted diagonal (2*beta_0 -
     2*gamma) / tau absorbs the transpose doubling and the shift, couplings
-    are beta_k / tau, with beta_k from the closed forms.  A level whose
-    ratio or step makes these entries overflow raises ValueError.
+    are beta_k / tau, with beta_k from the closed forms, on the steps times
+    f = 2^-e, e the mean binary exponent of the extreme steps, so the step
+    size over- or underflows no square; p and q are scaled back by f, exactly.
+    A level whose ratio or step overflows its unscaled entries raises
+    ValueError, so a positive pivot (at most its diagonal) scales back finite.
     """
-    tau, envelopes = grid.steps, []
+    tau = grid.steps
+    f = math.ldexp(1.0, -max((math.frexp(min(tau))[1] + math.frexp(max(tau))[1]) // 2, -1023))
 
     def rows():
+        r = None
         for n, t in enumerate(tau, 1):
             if n == 1:
-                beta, env = (1.0, 0.0, 0.0), (0.0, 0.0)
-            elif n == 2:
-                r = t / tau[0]
-                beta, env = (*bdf2_weights(1.0, r), 0.0), (0.0, 0.0)
+                beta = (1.0, 0.0, 0.0)
             else:
                 r_prev, r = r, t / tau[n - 2]
-                beta, env = bdf3_weights(1.0, r, r_prev), subdiagonal_envelopes(t, r, r_prev)
-            diag, sub, subsub = (2.0 * beta[0] - 2.0 * GAMMA) / t, beta[1] / t, beta[2] / t
-            if not (math.isfinite(diag) and math.isfinite(sub) and math.isfinite(subsub)):
+                beta = (*bdf2_weights(1.0, r), 0.0) if n == 2 else bdf3_weights(1.0, r, r_prev)
+            ts = t * f
+            diag, sub, subsub = (2.0 * beta[0] - 2.0 * GAMMA) / ts, beta[1] / ts, beta[2] / ts
+            if not (math.isfinite(diag * f) and math.isfinite(sub * f) and math.isfinite(subsub * f)):
                 if not all(map(math.isfinite, beta)):
                     raise _non_finite(n, f"step ratio r_{n} = {r!r}", "beta_0, beta_1, beta_2", beta)
-                raise _non_finite(n, f"step {t!r}", "shifted diagonal, b1, b2", (diag, sub, subsub))
-            envelopes.append(env)
+                raise _non_finite(n, f"step {t!r}", "shifted diagonal, b1, b2",
+                                  (diag * f, sub * f, subsub * f))
             yield diag, sub, subsub
 
     p, q, first = _pivot_recursion(rows())
-    return SylvesterTrace(p, q, first, *zip(*envelopes))
+    return SylvesterTrace(tuple([x * f for x in p]), tuple([x * f for x in q]), first)
 
 
 def certify_positive_definite(grid: TimeGrid) -> tuple[bool, SylvesterTrace]:
@@ -247,13 +249,9 @@ def pivot_certificate_scales(x, y) -> tuple:
     The certificates cancel severely near the box corners, so tolerances in
     sweeps are scaled by these sums rather than stated absolutely.
     """
-    lo = _pivot_certificate_terms(x, y, LAMBDA_MIN, KAPPA_MIN)
-    hi = _pivot_certificate_terms(x, y, LAMBDA_MAX, KAPPA_MAX)
-    lo_scale = sum(np.abs(t) for t in lo)
-    hi_scale = sum(np.abs(t) for t in hi)
-    if np.ndim(lo_scale) == 0:
-        return float(lo_scale), float(hi_scale)
-    return lo_scale, hi_scale
+    scales = tuple(sum(np.abs(t) for t in _pivot_certificate_terms(x, y, lam, kappa))
+                   for lam, kappa in ((LAMBDA_MIN, KAPPA_MIN), (LAMBDA_MAX, KAPPA_MAX)))
+    return tuple(map(float, scales)) if np.ndim(scales[0]) == 0 else scales
 
 
 @dataclass(frozen=True)

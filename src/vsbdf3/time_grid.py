@@ -33,6 +33,7 @@ __all__ = [
 # Largest adjacent-step ratio covered by the positive-definiteness
 # certification; validate_ratios flags anything above it by default.
 DEFAULT_RATIO_THRESHOLD = 1.405
+_DECODER = json.JSONDecoder(parse_int=float)  # so an integer too large for a float is inf
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,11 @@ class TimeGrid:
 
     @property
     def horizon(self) -> float:
-        """Final time t_N."""
-        return float(self.levels[-1])
+        """Final time t_N, summed left to right as levels is (the same bits)."""
+        t = 0.0
+        for s in self.steps:
+            t += s
+        return t
 
     def step(self, k: int) -> float:
         """tau_k, 1-based (k = 1..N)."""
@@ -93,8 +97,8 @@ class TimeGrid:
     @staticmethod
     def from_json(text: str) -> "TimeGrid":
         """Parse {"T": ..., "steps": [...]}, whose values must be JSON numbers."""
-        # integers parse as floats, so one too large for a float is inf, rejected below
-        data = json.loads(text, parse_int=float)
+        # json.loads names a leading byte-order mark in its error; a decoder does not
+        data = json.loads(text) if text.startswith("\ufeff") else _DECODER.decode(text)
         try:
             horizon, steps = data["T"], tuple(data["steps"])
         except (KeyError, TypeError) as exc:
@@ -106,9 +110,7 @@ class TimeGrid:
             raise ValueError(f"grid JSON horizon must be finite, got T = {horizon!r}")
         grid = TimeGrid(steps)
         if abs(grid.horizon - horizon) > 1e-12 * abs(horizon):
-            raise ValueError(
-                f"grid JSON inconsistent: steps sum to {grid.horizon!r}, T = {horizon!r}"
-            )
+            raise ValueError(f"grid JSON inconsistent: steps sum to {grid.horizon!r}, T = {horizon!r}")
         return grid
 
 

@@ -23,6 +23,7 @@ from vsbdf3.ratio_analysis import (
     LAMBDA_MIN,
     certify_positive_definite,
     generating_function,
+    subdiagonal_envelopes,
     sweep_lemma_bounds,
     sylvester_trace_A_from_ratios,
     sylvester_trace_shifted,
@@ -110,6 +111,9 @@ def test_criterion_04_pivot_envelopes_and_certification(capsys):
         all_certified = all_certified and ok_cert and tr.first_negative is None
         tau = g.steps
         b = kernel_weights(g)
+        # the coupling envelopes of levels j >= 3, from the closed form on the grid's arrays
+        mu, nu = subdiagonal_envelopes(np.asarray(tau[2:]), np.asarray(g.ratios[1:]),
+                                       np.asarray(g.ratios[:-1]))
         for j in range(1, n + 1):
             s = 1e-10 / tau[j - 1]
             pj = tr.p[j - 1]
@@ -118,8 +122,8 @@ def test_criterion_04_pivot_envelopes_and_certification(capsys):
             if j >= 3:
                 b1 = b[j - 1, 1]
                 qj = tr.q[j - 1]
-                lo = b1 + tr.mu[j - 1]
-                hi = b1 + tr.nu[j - 1]
+                lo = b1 + mu[j - 3]
+                hi = b1 + nu[j - 3]
                 worst_env = max(worst_env, lo - s - qj, qj - (hi + s), hi - s)
         if trial % 100 == 0:
             km = assemble_B(g)

@@ -1,10 +1,11 @@
 import json
+import math
 import warnings
 
 import pytest
 
 from vsbdf3.cli import build_parser, main, run_convergence
-from vsbdf3.time_grid import build_from_ratios, build_uniform, save_grid
+from vsbdf3.time_grid import build_from_ratios, build_from_steps, build_uniform, save_grid
 
 
 def test_parser_knows_all_subcommands():
@@ -150,6 +151,21 @@ def test_certify_exit_codes(tmp_path, capsys):
             assert not (tmp_path / "mats").exists()
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
+def test_certify_verdict_does_not_depend_on_the_unit_of_time(tmp_path, capsys):
+    # the shifted matrix scales as 1/tau: squares of its entries at steps of
+    # 1e-160 or 2^600 leave the float range unless the recursion rescales
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text('{"T": 4e-160, "steps": [1e-160, 1e-160, 1e-160, 1e-160]}')
+    assert main(["--quiet", "certify", "--grid", str(tiny)]) == 0
+    bad = build_from_ratios([1.732] * 40, 1.0)
+    huge = build_from_steps([math.ldexp(t, 600) for t in bad.steps])
+    verdicts = []
+    for grid, name in ((bad, "bad.json"), (huge, "huge.json")):
+        assert main(["certify", "--grid", str(save_grid(grid, tmp_path / name))]) == 1
+        verdicts.append(capsys.readouterr().out.splitlines()[-1])
+    assert verdicts == ["NOT certified: first nonpositive pivot at level 30"] * 2
 
 
 def test_certify_reads_no_level_after_the_first_nonpositive_pivot(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Property tests: grid JSON round trips are lossless.
+"""Property tests: grid JSON round trips are lossless, and the horizon is
+the last time level.
 
 Grids are drawn from ratio sequences with N <= 40 levels and ratios in
 [0.02, 44], the range of the random-step convergence grids, and horizons
@@ -24,3 +25,11 @@ def test_json_round_trip_is_bit_identical(tmp_path, g):
     for back in (TimeGrid.from_json(g.to_json()), load_grid(save_grid(g, tmp_path / "g.json"))):
         assert back.steps == g.steps
         assert back.horizon == g.horizon
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids)
+def test_horizon_is_the_last_level_bit_for_bit(g):
+    # the left-to-right float sum and the sequential cumsum of levels agree
+    for grid in (g, TimeGrid.from_json(g.to_json())):
+        assert grid.horizon.hex() == float(grid.levels[-1]).hex()

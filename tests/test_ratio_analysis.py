@@ -112,6 +112,12 @@ def test_envelope_formulas_hand_value():
     assert mu <= nu
 
 
+@pytest.mark.parametrize("ratios", [1.2, [[1.2, 1.3], [1.1, 1.0]]])
+def test_trace_from_ratios_rejects_malformed_ratios(ratios):
+    with pytest.raises(ValueError, match="ratios must be a 1-D sequence"):
+        sylvester_trace_A_from_ratios(ratios)
+
+
 def test_certification_accepts_threshold_ratio_chain():
     ok, tr = certify_positive_definite(build_from_ratios([1.405] * 99, 1.0))
     assert ok

@@ -32,7 +32,7 @@ from vsbdf3.ratio_analysis import (  # noqa: E402
     subdiagonal_envelopes,
     sylvester_trace_shifted,
 )
-from vsbdf3.time_grid import build_from_ratios  # noqa: E402
+from vsbdf3.time_grid import build_from_ratios, build_from_steps  # noqa: E402
 
 from eigen_oracles import min_symmetric_eigenvalue  # noqa: E402
 
@@ -150,14 +150,17 @@ def test_closed_forms_give_the_same_bits_on_floats_and_arrays(args):
 
 def _table_trace(g, levels):
     """Shifted trace of the grid's first levels by the table path: the
-    ratio_weights table over tau, then a plain elimination."""
-    tau, r = np.asarray(g.steps[:levels]), np.asarray(g.ratios[:levels - 1])
+    ratio_weights table over the steps times f = 2^-e, e the mean binary
+    exponent of the smallest and largest step, whose entries times f must be
+    finite, then a plain elimination, and p and q times f."""
+    f = 2.0 ** -max((math.frexp(min(g.steps))[1] + math.frexp(max(g.steps))[1]) // 2, -1023)
+    tau, r = np.asarray(g.steps[:levels]) * f, np.asarray(g.ratios[:levels - 1])
     band = ratio_weights(r)
     band[:, 0] = 2.0 * band[:, 0] - 2.0 * GAMMA
     with np.errstate(over="ignore"):
         band /= tau[:, None]
-    diag, sub, subsub = _require_finite(band, "shifted diagonal, b1, b2",
-                                        lambda n: f"step {g.steps[n - 1]!r}").T.tolist()
+        _require_finite(band * f, "shifted diagonal, b1, b2", lambda n: f"step {g.steps[n - 1]!r}")
+    diag, sub, subsub = band.T.tolist()
     p, q = [diag[0]], [0.0]
     if levels >= 2 and p[0] > 0.0:
         q.append(sub[1])
@@ -166,12 +169,9 @@ def _table_trace(g, levels):
             if p[-1] <= 0.0:
                 break
             q.append(sub[j] - (q[j - 1] / p[j - 2]) * subsub[j])
-            p.append(diag[j] - subsub[j] ** 2 / p[j - 2] - q[j] * q[j] / p[j - 1])
-    mu, nu = np.zeros((2, levels))
-    with np.errstate(all="ignore"):
-        mu[2:], nu[2:] = subdiagonal_envelopes(tau[2:], r[1:], r[:-1])
+            p.append(diag[j] - subsub[j] * subsub[j] / p[j - 2] - q[j] * q[j] / p[j - 1])
     first = len(p) if p[-1] <= 0.0 else None
-    return p, q, first, mu[:len(p)], nu[:len(p)]
+    return [x * f for x in p], [x * f for x in q], first
 
 
 @settings(max_examples=300, deadline=None)
@@ -191,7 +191,20 @@ def test_lazy_shifted_trace_is_the_table_trace_up_to_the_stop(ratios):
             _table_trace(g, level)
         assert level == 1 or _table_trace(g, level - 1)[2] is None
         return
-    p, q, first, mu, nu = _table_trace(g, len(tr.p))
+    p, q, first = _table_trace(g, len(tr.p))
     assert tr.first_negative == first
-    for got, want in ((tr.p, p), (tr.q, q), (tr.mu, mu), (tr.nu, nu)):
+    for got, want in ((tr.p, p), (tr.q, q)):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratio_lists, st.integers(-600, 600))
+def test_power_of_two_step_scaling_scales_the_shifted_trace_exactly(ratios, k):
+    # B - gamma*Lambda^{-1} scales as 1/tau: steps times 2^k keep the verdict
+    # and give p and q times 2^-k, bit for bit
+    g = build_from_ratios(ratios, 1.0)
+    tr = sylvester_trace_shifted(g)
+    tr_k = sylvester_trace_shifted(build_from_steps([math.ldexp(t, k) for t in g.steps]))
+    assert tr_k.first_negative == tr.first_negative
+    for got, want in ((tr_k.p, tr.p), (tr_k.q, tr.q)):
+        assert np.asarray(got).tobytes() == np.ldexp(np.asarray(want), -k).tobytes()

@@ -150,6 +150,11 @@ def test_from_json_rejects_inconsistent_horizon():
         TimeGrid.from_json('{"T": 2.0, "steps": [0.5, 0.5]}')
 
 
+def test_from_json_names_a_byte_order_mark():
+    with pytest.raises(ValueError, match="Unexpected UTF-8 BOM"):
+        TimeGrid.from_json('\ufeff{"T": 1.0, "steps": [1.0]}')
+
+
 @pytest.mark.parametrize("horizon", ["NaN", "Infinity", "-Infinity"])
 def test_from_json_rejects_non_finite_horizon(horizon):
     with pytest.raises(ValueError, match="finite"):
