@@ -8,15 +8,15 @@ by a full Newton iteration from the previous time level.  b0, b1, b2 are
 the level's row of the grid's kernel-weight table (bdf_kernels), taken
 once per configuration, and the known history terms are apply_D3's sum.
 Nothing is assembled: the residual applies L through the operator's
-tensor structure, and each correction solves with J = (b0 - 1)*I -
-eps2*L + diag(3u^2) by one unrestarted GMRES cycle, right-preconditioned by
-the exact fast-diagonalisation inverse of (b0 - 1 + c)*I - eps2*L, c the
-midpoint of the range of 3u^2.
-The inner solve stops once its residual is below max(1e-3*NEWTON_TOL,
-1e-13*|res|) (inexact Newton, Dembo, Eisenstat & Steihaug 1982): three
-orders below the Newton tolerance, so the outer iteration behaves as with
-an exact solve.  An inner solve that does not converge within
-_INNER_MAX_ITER iterations raises SingularJacobianError.
+tensor structure, and each correction solves with J = (b0 - 1)*I - eps2*L +
+diag(3u^2) by one unrestarted GMRES cycle, right-preconditioned by P =
+(b0 - 1 + c)*I - eps2*L, c the midpoint of the range of 3u^2; each GMRES
+iteration applies J*P^-1 = I + diag(3u^2 - c)*P^-1 with one fast-
+diagonalisation solve.  GMRES stops once its recurrence residual is below
+max(1e-3*NEWTON_TOL, 1e-13*|res|) (inexact Newton, Dembo, Eisenstat &
+Steihaug 1982); the true residual differs from it by the rounding of the
+P^-1 solve, three orders below NEWTON_TOL.  An inner solve that does not
+converge within _INNER_MAX_ITER iterations raises SingularJacobianError.
 
 Convergence is max-norm residual <= max(NEWTON_TOL, 4*eps*|rhs|): below
 that the residual is rounding noise of b0*u, which is large on tiny steps.
@@ -241,50 +241,44 @@ def step(config: SolverConfig, history, n: int) -> tuple[FieldState, StepDiagnos
 
 def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.ndarray,
                        res: np.ndarray, tol: float, level: int) -> tuple[np.ndarray, int]:
-    """Solve (shift*I - eps2*L + diag(3u^2)) du = -res to 2-norm residual <= tol.
+    """Solve (shift*I - eps2*L + diag(3u^2)) du = -res by one GMRES cycle.
 
-    One GMRES cycle (Saad & Schultz 1986) of at most _INNER_MAX_ITER
-    iterations, with right preconditioner P = (shift + c)*I - eps2*L, c the
-    midpoint of the range of 3u^2, applied exactly by the operator's fast
-    diagonalisation; the least-squares problem is kept triangular by Givens
-    rotations, whose last right-hand-side entry is the residual norm.  The
-    Krylov basis grows by doubling, so its memory follows the iterations
-    taken.  res must be nonzero.  Returns du and the number of iterations.
+    The cycle (Saad & Schultz 1986) takes at most _INNER_MAX_ITER
+    iterations, right-preconditioned by P = (shift + c)*I - eps2*L, c the
+    midpoint of the range of 3u^2: each applies I + diag(3u^2 - c)*P^-1 with
+    one fast-diagonalisation solve.  Givens rotations in Python floats keep
+    the least-squares problem triangular; its last right-hand-side entry is
+    the recurrence residual that tol bounds in the 2-norm, and the true
+    residual differs from it by the rounding of the P^-1 solve.  The basis
+    grows by doubling.  res must be nonzero.  Returns du and the iterations.
     """
     c3 = 3.0 * u * u
-    sigma = shift + 0.5 * (float(c3.max()) + float(c3.min()))
-    diag = shift + c3
+    c = 0.5 * (float(c3.max()) + float(c3.min()))
+    solve, coupling = op.shifted_inverse(shift + c, eps2), c3 - c
     beta = math.sqrt(float(res @ res))
-    m = _INNER_MAX_ITER
     # 32 rows hold every correction of the study runs (at most 27 iterations)
     V = np.empty((32, res.size))
-    # every entry of H, cs, sn and g is written before it is read
-    H = np.empty((m + 1, m))
-    cs, sn = np.empty(m), np.empty(m)
-    g = np.empty(m + 1)
-    g[0] = beta
     V[0] = -res / beta
-    for j in range(m):
-        z = op.solve_shifted(sigma, eps2, V[j])
-        w = diag * z - eps2 * op.laplacian(z)
+    # rows of the rotated Hessenberg triangle, the rotations and rotated beta*e_1
+    rows, rotations, g = [], [], [beta]
+    for j in range(_INNER_MAX_ITER):
+        w = V[j] + coupling * solve(V[j])
         # classical Gram-Schmidt, applied twice for orthogonality
         h = V[: j + 1] @ w
         w -= h @ V[: j + 1]
         h2 = V[: j + 1] @ w
         w -= h2 @ V[: j + 1]
-        H[: j + 1, j] = h + h2
-        hn = math.sqrt(float(w @ w))
-        H[j + 1, j] = hn
-        for i in range(j):
-            H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
-                                    cs[i] * H[i + 1, j] - sn[i] * H[i, j])
-        d = math.hypot(H[j, j], hn)
+        col, hn = (h + h2).tolist(), math.sqrt(float(w @ w))
+        for i, (ci, si) in enumerate(rotations):
+            col[i], col[i + 1] = ci * col[i] + si * col[i + 1], ci * col[i + 1] - si * col[i]
+            rows[i].append(col[i])
+        d = math.hypot(col[j], hn)
         if not (math.isfinite(d) and d > 0.0):
             raise SingularJacobianError(level)
-        cs[j], sn[j] = H[j, j] / d, hn / d
-        H[j, j] = d
-        g[j + 1] = -sn[j] * g[j]
-        g[j] *= cs[j]
+        ci, si = col[j] / d, hn / d
+        rotations.append((ci, si))
+        rows.append([d])
+        g[j:] = [ci * g[j], -si * g[j]]
         if abs(g[j + 1]) <= tol:
             break
         if j + 1 == len(V):
@@ -295,8 +289,8 @@ def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.nd
     k = j + 1
     y = np.empty(k)
     for i in range(k - 1, -1, -1):
-        y[i] = (g[i] - H[i, i + 1 : k] @ y[i + 1 : k]) / H[i, i]
-    return op.solve_shifted(sigma, eps2, y @ V[:k]), k
+        y[i] = (g[i] - np.dot(rows[i][1:], y[i + 1 :])) / rows[i][0]
+    return solve(y @ V[:k]), k
 
 
 def run(config: SolverConfig) -> RunResult:

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -306,18 +307,18 @@ def cmd_consistency(args) -> int:
     return 0
 
 
-def _float_list(text: str) -> list[float]:
+def _parse_list(kind, text: str) -> list:
+    """A nonempty comma-separated list of kind, as an argparse type."""
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        values = [kind(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad {kind.__name__} list {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty {kind.__name__} list {text!r}")
+    return values
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad int list {text!r}") from exc
+_float_list, _int_list = partial(_parse_list, float), partial(_parse_list, int)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -115,11 +116,11 @@ class SpectralOperator:
         U = v.reshape(self.d1.shape)
         return (U @ self.d1.T).ravel(), (self.d1 @ U).ravel()
 
-    def solve_shifted(self, sigma: float, eps2: float, r: np.ndarray) -> np.ndarray:
-        """(sigma*I - eps2*L)^{-1} r by fast diagonalisation."""
+    def shifted_inverse(self, sigma: float, eps2: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The map r -> (sigma*I - eps2*L)^{-1} r by fast diagonalisation."""
         V, Vinv = self._vecs, self._vecs_inv
-        R = Vinv @ r.reshape(V.shape) @ Vinv.T
-        return (V @ (R / (sigma - eps2 * self._eig_sums)) @ V.T).ravel()
+        diagonal = sigma - eps2 * self._eig_sums  # formed once, read by every solve
+        return lambda r: (V @ ((Vinv @ r.reshape(V.shape) @ Vinv.T) / diagonal) @ V.T).ravel()
 
     # dense k^2 x k^2 oracles, built on first access
 

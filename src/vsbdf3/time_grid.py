@@ -98,7 +98,10 @@ class TimeGrid:
     def from_json(text: str) -> "TimeGrid":
         """Parse {"T": ..., "steps": [...]}, whose values must be JSON numbers."""
         # json.loads names a leading byte-order mark in its error; a decoder does not
-        data = json.loads(text) if text.startswith("\ufeff") else _DECODER.decode(text)
+        try:
+            data = json.loads(text) if text.startswith("\ufeff") else _DECODER.decode(text)
+        except RecursionError:
+            raise ValueError("grid JSON is nested too deeply") from None
         try:
             horizon, steps = data["T"], tuple(data["steps"])
         except (KeyError, TypeError) as exc:

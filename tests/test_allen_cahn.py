@@ -25,7 +25,7 @@ from vsbdf3.allen_cahn import (
 )
 from vsbdf3.bdf_kernels import bdf3_weights, kernel_weights, ratio_weights
 from vsbdf3.spectral import chebyshev_operator, fourier_operator, l2_norm
-from vsbdf3.time_grid import build_from_steps, build_uniform, random_bounded_grid
+from vsbdf3.time_grid import build_from_steps, build_random, build_uniform, random_bounded_grid
 
 
 def test_exact_solution_and_forcing_values():
@@ -136,6 +136,44 @@ def test_large_steps_keep_the_dense_newton_counts(kind, m, eps2, counts):
         assert d.final_residual <= 1e-10
         assert len(d.inner_iterations) == d.newton_iterations
         assert all(k >= 1 for k in d.inner_iterations)
+
+
+# GMRES iterations of each Newton correction, per level, on the conv-random
+# benchmark grid of CLI seed 3 at N = 80 (build_random(80, 1.0, 83), M = 20)
+_SEED3_N80_EPS2_016 = [
+    (4,), (3,), (5,), (5,), (5,), (5,), (6, 3), (5, 3),
+    (5, 3), (6, 3), (6, 3), (6, 3), (6, 4), (6, 3), (6, 4), (6, 3),
+    (6, 4), (7, 4), (6, 4), (7, 5), (7, 5), (6, 3), (6, 4), (5, 2),
+    (6, 3), (6, 4), (6, 4), (7, 5), (7, 4), (6, 4), (6, 4), (7, 5),
+    (7, 5), (6, 4), (7, 5), (5, 3), (5, 3), (7, 5), (4, 2), (6, 4),
+    (7, 5), (7, 6, 2), (7, 5), (7, 5), (7, 5), (6, 5), (6, 4), (6, 4),
+    (7, 6, 2), (6, 4), (6, 5), (7, 5), (7, 5, 2), (7, 6, 3), (7, 5, 2), (7, 6, 2),
+    (8, 6, 3), (7, 5, 2), (8, 7, 3), (8, 7, 3), (6, 5), (8, 6, 3), (7, 5), (8, 6, 3),
+    (5, 4), (7, 6, 2), (8, 7, 4), (9, 8, 4), (7, 5), (8, 7, 4), (8, 6, 3), (7, 5),
+    (7, 6, 2), (8, 7, 4), (7, 6, 2), (7, 6, 2), (3,), (6, 5), (7, 6, 3), (9, 8, 4),
+]
+
+_SEED3_N80_EPS2_036 = [
+    (4,), (3,), (5,), (5,), (5,), (5,), (6, 3), (5, 3),
+    (5, 3), (6, 3), (6, 3), (6, 3), (6, 4), (6, 3), (6, 4), (6, 3),
+    (6, 4), (6, 4), (6, 4), (7, 5), (7, 5), (5, 3), (6, 4), (4, 2),
+    (6, 3), (6, 4), (6, 4), (6, 5), (6, 4), (6, 4), (6, 4), (7, 5),
+    (7, 5), (6, 4), (7, 5), (5, 3), (5, 3), (6, 5), (4, 2), (6, 4),
+    (7, 5), (7, 6, 2), (7, 5), (7, 5), (7, 5), (6, 5), (6, 4), (6, 4),
+    (7, 6, 2), (6, 4), (6, 5), (7, 5), (7, 5, 2), (7, 6, 2), (7, 5, 2), (7, 6, 2),
+    (7, 6, 3), (7, 5, 2), (8, 6, 3), (8, 6, 3), (6, 5), (7, 6, 3), (7, 5), (7, 6, 3),
+    (5, 4), (7, 6, 2), (8, 7, 4), (8, 7, 4), (7, 5), (8, 7, 4), (8, 6, 3), (7, 5),
+    (7, 6, 2), (8, 7, 4), (7, 6, 2), (7, 6, 2), (3, 1), (6, 5), (7, 6, 3), (8, 7, 4),
+]
+
+
+@pytest.mark.parametrize("eps2, counts", [(0.16, _SEED3_N80_EPS2_016),
+                                          (0.36, _SEED3_N80_EPS2_036)])
+def test_random_grid_keeps_its_per_level_solver_counts(eps2, counts):
+    # level 77 sits at the rounding floor: (3,) at eps2 = 0.16, (3, 1) at 0.36
+    res = run(SolverConfig(build_random(80, 1.0, 83), chebyshev_operator(20), eps2))
+    assert [d.inner_iterations for d in res.diagnostics] == counts
+    assert [d.newton_iterations for d in res.diagnostics] == [len(c) for c in counts]
 
 
 def test_rough_fields_converge_within_one_gmres_cycle():

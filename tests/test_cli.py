@@ -153,6 +153,32 @@ def test_certify_exit_codes(tmp_path, capsys):
             assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
 
+def test_deeply_nested_grid_json_is_a_usage_error(tmp_path, capsys):
+    # the decoder recurses once per bracket and exceeds the recursion limit
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    for command in (["certify"], ["kernels", "--out", str(tmp_path / "mats")]):
+        assert main(["--quiet", *command, "--grid", str(nested)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: grid JSON is nested too deeply"]
+    assert not (tmp_path / "mats").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--case", "1", "--n", "", "--m", "8"],
+    ["convergence", "--case", "1", "--n", ",", "--m", "8"],
+    ["convergence", "--case", "1", "--eps2", "", "--m", "8"],
+    ["consistency", "--function", "t3", "--levels", ""],
+])
+def test_empty_list_arguments_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "table.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["--quiet", *argv, "--out", str(out)])
+    assert info.value.code == 2
+    assert "empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_certify_verdict_does_not_depend_on_the_unit_of_time(tmp_path, capsys):
     # the shifted matrix scales as 1/tau: squares of its entries at steps of
     # 1e-160 or 2^600 leave the float range unless the recursion rescales

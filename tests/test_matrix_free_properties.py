@@ -1,9 +1,10 @@
 """Property tests: the matrix-free operators and the Krylov Newton correction.
 
 Operators are drawn from both families at random resolution (Chebyshev
-m in 2..14, Fourier m in 4..16) and fields from a seeded generator.  The
-references are the dense Kronecker-product oracles op.L, op.Gx and op.Gy
-and numpy.linalg.solve on the dense Newton matrix.
+m in 2..14, Fourier m in 4..16, and up to 32 for the true-residual test)
+and fields from a seeded generator.  The references are the dense
+Kronecker-product oracles op.L, op.Gx and op.Gy and numpy.linalg.solve on
+the dense Newton matrix.
 """
 
 import numpy as np
@@ -45,7 +46,7 @@ def test_tensor_laplacian_and_gradient_match_dense_oracles(op, seed):
 def test_fast_diagonalisation_inverts_the_shifted_laplacian(op, seed, sigma, eps2):
     r = _field(seed, op.n_unknowns)
     dense = np.linalg.solve(sigma * np.eye(op.n_unknowns) - eps2 * op.L, r)
-    x = op.solve_shifted(sigma, eps2, r)
+    x = op.shifted_inverse(sigma, eps2)(r)
     np.testing.assert_allclose(x, dense, rtol=0, atol=1e-10 * np.abs(dense).max())
 
 
@@ -66,3 +67,32 @@ def test_newton_correction_matches_the_dense_solve(op, seed, amplitude, eps2, lo
     du, iterations = _newton_correction(op, eps2, shift, u, res, tol, level=1)
     assert iterations >= 1
     np.testing.assert_allclose(du, dense, rtol=0, atol=1e-9 * np.abs(dense).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(min_value=4, max_value=32).map(chebyshev_operator),
+                 st.integers(min_value=2, max_value=16).map(lambda h: fourier_operator(2 * h))),
+       seeds, st.floats(min_value=0.0, max_value=2.0), st.floats(min_value=1e-3, max_value=1.0),
+       st.floats(min_value=-3.0, max_value=4.0))
+def test_newton_correction_true_residual_stays_near_its_tolerance(op, seed, amplitude, eps2,
+                                                                  log_shift):
+    # GMRES stops on the residual of its own recurrence, which leaves out the
+    # rounding of the P^-1 solves.  The true residual must stay below 10*tol,
+    # or below 10 times the rounding floor eps*|J|*|du| where that is larger:
+    # near shift 1e-3 with eps2 near 1 the floor exceeds 10*tol, and a dense
+    # LU solve of J also ends above 5*tol there
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = op.n_unknowns
+    (kx, ky), (px, py) = rng.integers(0, 4, 2), rng.uniform(0.0, 2.0 * np.pi, 2)
+    X, Y = op.mesh
+    u = amplitude * np.cos(kx * X + px) * np.cos(ky * Y + py)
+    res = rng.standard_normal(n)
+    shift = 10.0**log_shift
+    c3 = 3.0 * u * u
+    jac = shift * np.eye(n) - eps2 * op.L + np.diag(c3)
+    tol = 1e-13 * np.abs(res).max()
+    du, _ = _newton_correction(op, eps2, shift, u, res, tol, level=1)
+    # |L|_2 <= 2*|d2|_2 for the Kronecker sum L = I (x) d2 + d2 (x) I
+    jac_norm = shift + c3.max() + 2.0 * eps2 * np.linalg.norm(op.d2, 2)
+    floor = np.finfo(float).eps * jac_norm * np.linalg.norm(du)
+    assert np.linalg.norm(jac @ du + res) <= 10.0 * max(tol, floor)

@@ -123,7 +123,7 @@ def test_fourier_operator_trigonometric_eigenfunctions():
         np.testing.assert_allclose(got_gy, 0.0, atol=1e-12)
         np.testing.assert_allclose(lap(v), -13 * v, atol=1e-10)
     # sin 3x cos 2y is an eigenfunction, so the shifted inverse just divides
-    np.testing.assert_allclose(op.solve_shifted(2.0, 0.16, v), v / (2.0 + 0.16 * 13),
+    np.testing.assert_allclose(op.shifted_inverse(2.0, 0.16)(v), v / (2.0 + 0.16 * 13),
                                atol=1e-12)
 
 
@@ -153,7 +153,7 @@ def test_fourier_shifted_solve_stays_exact_at_large_resolution(m):
     for sigma, eps2 in ((99.0, 0.16), (1.5, 0.16)):
         symbol = sigma + eps2 * (k2[:, None] + k2[None, :])
         ref = np.fft.ifft2(np.fft.fft2(r.reshape(m, m)) / symbol).real.ravel()
-        np.testing.assert_allclose(op.solve_shifted(sigma, eps2, r), ref,
+        np.testing.assert_allclose(op.shifted_inverse(sigma, eps2)(r), ref,
                                    rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
