@@ -7,12 +7,12 @@ Each level solves
 by a full Newton iteration from the previous time level.  b0, b1, b2 are
 the level's row of the grid's kernel-weight table (bdf_kernels), taken
 once per configuration, and the known history terms are apply_D3's sum.
-Nothing is assembled: the residual applies L through the operator's
-tensor structure, and each correction solves with J = (b0 - 1)*I - eps2*L +
-diag(3u^2) by one unrestarted GMRES cycle, right-preconditioned by P =
-(b0 - 1 + c)*I - eps2*L, c the midpoint of the range of 3u^2; each GMRES
-iteration applies J*P^-1 = I + diag(3u^2 - c)*P^-1 with one fast-
-diagonalisation solve.  GMRES stops once its recurrence residual is below
+Nothing is assembled: the residual applies L through the operator's tensor
+structure and cubes u by products.  Each correction solves with
+J = (b0 - 1)*I - eps2*L + diag(3u^2) by one unrestarted GMRES cycle,
+right-preconditioned by P = (b0 - 1 + c)*I - eps2*L, c the midpoint of the
+range of 3u^2; each iteration applies J*P^-1 = I + diag(3u^2 - c)*P^-1 with
+one fast-diagonalisation solve.  GMRES stops at a recurrence residual below
 max(1e-3*NEWTON_TOL, 1e-13*|res|) (inexact Newton, Dembo, Eisenstat &
 Steihaug 1982); the true residual differs from it by the rounding of the
 P^-1 solve, three orders below NEWTON_TOL.  An inner solve that does not
@@ -211,7 +211,7 @@ def step(config: SolverConfig, history, n: int) -> tuple[FieldState, StepDiagnos
 
     inner = []
     while True:
-        res = b0 * u - eps2 * op.laplacian(u) + u**3 - u - rhs
+        res = b0 * u - eps2 * op.laplacian(u) + u * u * u - u - rhs  # u**3 calls libm pow
         res_norm = float(np.max(np.abs(res)))
         if res_norm <= tol:
             break

@@ -291,9 +291,8 @@ _PROBE_FUNCTIONS = {
 
 
 def cmd_consistency(args) -> int:
-    bad = [n for n in args.levels if n < 3]
-    if bad:
-        raise ValueError(f"level counts must be >= 3, got {bad}")
+    if min(args.levels) < 3:
+        raise ValueError(f"level counts must be >= 3, got {[n for n in args.levels if n < 3]}")
     v, v_prime = _PROBE_FUNCTIONS[args.function]
     lines = ["N,tau,max_eta"]
     for n in sorted(set(args.levels)):
@@ -305,6 +304,20 @@ def cmd_consistency(args) -> int:
     Path(args.out).write_text("\n".join(lines) + "\n")
     _say(args, f"wrote {args.out}")
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses counts over LIMITS once parsed; run keeps all fields, steps * m^2 doubles (1 GiB)."""
+    LIMITS = dict.fromkeys(("n", "steps", "length", "levels"), 10**6) | {"m": 512, "steps * m^2": 2**27}
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        top = {k: int(max(np.ravel(v))) for k, v in vars(namespace).items() if k in self.LIMITS}
+        top["steps * m^2"] = max(top.get("n", 0), top.get("steps", 0)) * top.get("m", 0) ** 2
+        for key, value in top.items():
+            if value > self.LIMITS[key]:
+                self.error(f"{key} = {value} is above the limit {self.LIMITS[key]}")
+        return namespace, extras
 
 
 def _parse_list(kind, text: str) -> list:
@@ -322,7 +335,7 @@ _float_list, _int_list = partial(_parse_list, float), partial(_parse_list, int)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="vsbdf3",
         description="Variable-step three-step integration studies for the Allen-Cahn equation.",
     )

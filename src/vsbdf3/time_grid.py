@@ -45,9 +45,11 @@ class TimeGrid:
     def __post_init__(self):
         if len(self.steps) == 0:
             raise ValueError("a time grid needs at least one step")
-        for s in self.steps:
-            if not (math.isfinite(s) and s > 0.0):
-                raise ValueError(f"step sizes must be positive and finite, got {s!r}")
+        # positive steps with a finite sum are all finite, and a NaN makes the sum NaN
+        if not (min(self.steps) > 0.0 and math.isfinite(sum(self.steps))):
+            for s in self.steps:
+                if not (math.isfinite(s) and s > 0.0):
+                    raise ValueError(f"step sizes must be positive and finite, got {s!r}")
 
     @property
     def n_steps(self) -> int:

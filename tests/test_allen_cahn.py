@@ -8,6 +8,7 @@ import pytest
 from conftest import make_rng
 from vsbdf3 import allen_cahn
 from vsbdf3.allen_cahn import (
+    NEWTON_TOL,
     NewtonDivergenceError,
     SingularJacobianError,
     SolverConfig,
@@ -23,7 +24,7 @@ from vsbdf3.allen_cahn import (
     solvability_bound,
     step,
 )
-from vsbdf3.bdf_kernels import bdf3_weights, kernel_weights, ratio_weights
+from vsbdf3.bdf_kernels import apply_D3, bdf3_weights, kernel_weights, ratio_weights
 from vsbdf3.spectral import chebyshev_operator, fourier_operator, l2_norm
 from vsbdf3.time_grid import build_from_steps, build_random, build_uniform, random_bounded_grid
 
@@ -174,6 +175,40 @@ def test_random_grid_keeps_its_per_level_solver_counts(eps2, counts):
     res = run(SolverConfig(build_random(80, 1.0, 83), chebyshev_operator(20), eps2))
     assert [d.inner_iterations for d in res.diagnostics] == counts
     assert [d.newton_iterations for d in res.diagnostics] == [len(c) for c in counts]
+
+
+# GMRES iterations of each Newton correction, per level, on the energy-periodic
+# benchmark run (vsbdf3 energy --eps2 0.16 --tau 0.01 --steps 200 --seed 1)
+_ENERGY_SEED1 = [(3, 2)] * 120 + [(4, 2)] * 6 + [(3, 2)] * 2 + [(4, 2)] * 72
+
+
+@pytest.fixture(scope="module")
+def energy_seed1():
+    grid = random_bounded_grid(200, 0.01, 1)
+    return grid, run(SolverConfig(grid, fourier_operator(32), 0.16, forcing="none"))
+
+
+def test_energy_run_keeps_its_per_level_solver_counts(energy_seed1):
+    _, res = energy_seed1
+    assert [d.inner_iterations for d in res.diagnostics] == _ENERGY_SEED1
+    assert [d.newton_iterations for d in res.diagnostics] == [2] * 200
+
+
+def test_energy_run_solves_the_equation_written_with_a_power(energy_seed1):
+    # each level restated from public pieces, D3 u^n - eps2*L*u^n + (u^n)**3
+    # - u^n = 0, against the solver's residual, which cubes by products; the
+    # sin*sin seed has exact zeros
+    grid, res = energy_seed1
+    op, eps, weights = fourier_operator(32), np.finfo(float).eps, kernel_weights(grid)
+    u = [state.values for state in res.states]
+    assert np.any(u[0] == 0.0)
+    for n in range(1, grid.n_steps + 1):
+        w, known = weights[n - 1], u[max(0, n - 3) : n]
+        rhs_max = float(np.max(np.abs(w[0] * u[n - 1] - apply_D3(w, known + [u[n - 1]]))))
+        oracle = apply_D3(w, known + [u[n]]) - 0.16 * op.laplacian(u[n]) + u[n] ** 3 - u[n]
+        # the level's tolerance, plus the rounding of b0*u against the direct differences
+        tol = max(NEWTON_TOL, 4.0 * eps * rhs_max)
+        assert float(np.max(np.abs(oracle))) <= tol + 8.0 * eps * rhs_max, n
 
 
 def test_rough_fields_converge_within_one_gmres_cycle():

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from vsbdf3.cli import build_parser, main, run_convergence
+from vsbdf3.cli import _Parser, build_parser, main, run_convergence
 from vsbdf3.time_grid import build_from_ratios, build_from_steps, build_uniform, save_grid
 
 
@@ -177,6 +177,56 @@ def test_empty_list_arguments_are_usage_errors(tmp_path, capsys, argv):
     assert info.value.code == 2
     assert "empty" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+_ENERGY = ["energy", "--eps2", "0.16", "--tau", "0.01"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ratio-figure", "--ratio", "1.405", "--length", "10000", "--out", "x.csv"],
+    ["consistency", "--function", "t3", "--levels", "40,80,160,320", "--out", "x.csv"],
+    ["convergence", "--case", "2", "--seed", "1", "--n", "20,40,80,160", "--m", "20"],
+    [*_ENERGY, "--steps", "200", "--seed", "1", "--m", "128"],
+    [*_ENERGY, "--m", "128", "--steps", "200"],
+])
+def test_study_sized_counts_are_accepted(argv):
+    build_parser().parse_args(argv)
+
+
+# steps * m^2 stops at 2^27: 512 levels at m = 512, 2^19 at m = 16, 2^17 at m = 32
+_LIMIT, _M_LIMIT = _Parser.LIMITS["steps"], _Parser.LIMITS["m"]
+
+
+@pytest.mark.parametrize("argv, accepted", [
+    (["ratio-figure", "--ratio", "1.4", "--length", f"{_LIMIT}", "--out", "x"], True),
+    (["ratio-figure", "--ratio", "1.4", "--length", f"{_LIMIT + 1}", "--out", "x"], False),
+    (["consistency", "--function", "t3", "--levels", "3,100000000", "--out", "x"], False),
+    (["consistency", "--function", "t3", "--levels", f"{_LIMIT}", "--out", "x"], True),
+    (["convergence", "--case", "1", "--n", f"20,{_LIMIT + 1}", "--m", "2"], False),
+    (["convergence", "--case", "1", "--m", f"{_M_LIMIT}"], True),
+    (["convergence", "--case", "1", "--m", f"{_M_LIMIT + 1}"], False),
+    (["convergence", "--case", "1", "--n", "20,1000", "--m", f"{_M_LIMIT}"], False),
+    (["convergence", "--case", "1", "--m", f"{_M_LIMIT}", "--n", "20,1000"], False),
+    ([*_ENERGY, "--steps", "512", "--m", f"{_M_LIMIT}"], True),
+    ([*_ENERGY, "--steps", "513", "--m", f"{_M_LIMIT}"], False),
+    ([*_ENERGY, "--m", f"{_M_LIMIT}", "--steps", "513"], False),
+    ([*_ENERGY, "--steps", f"{2**19}", "--m", "16"], True),
+    ([*_ENERGY, "--m", "16", "--steps", f"{2**19}"], True),
+    ([*_ENERGY, "--steps", f"{2**19 + 1}", "--m", "16"], False),
+    ([*_ENERGY, "--steps", f"{2**17 + 1}"], False),  # at the default m = 32
+    ([*_ENERGY, "--steps", f"{_LIMIT + 1}", "--m", "4"], False),
+    ([*_ENERGY, "--steps", f"{10**30}"], False),  # beyond int64
+    ([*_ENERGY, "--steps", "5", "--m", f"{-10**30}"], False),
+])
+def test_counts_are_bounded_while_parsing(capsys, argv, accepted):
+    # parse_args runs no command, so a missing bound allocates nothing here
+    if accepted:
+        build_parser().parse_args(argv)
+        return
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(argv)
+    assert info.value.code == 2
+    assert "is above the limit" in capsys.readouterr().err
 
 
 def test_certify_verdict_does_not_depend_on_the_unit_of_time(tmp_path, capsys):

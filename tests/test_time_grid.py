@@ -65,6 +65,26 @@ def test_invalid_steps_rejected():
             build_from_steps(bad)
 
 
+@pytest.mark.parametrize("steps, named", [
+    ((math.nan, 1.0, 2.0), "nan"),
+    ((1.0, 2.0, math.nan, 3.0), "nan"),
+    ((1.0, math.inf, 2.0), "inf"),
+    ((1.0, 0.0, 2.0), "0.0"),
+    ((1.0, 2.0, -0.5), "-0.5"),
+])
+def test_a_bad_step_is_named(steps, named):
+    # the fast path reads only min(steps) and sum(steps): a NaN first makes
+    # the min NaN, a NaN later only the sum; the loop then names the step
+    with pytest.raises(ValueError, match=rf"positive and finite, got {named}$"):
+        TimeGrid(steps)
+
+
+def test_finite_steps_whose_sum_overflows_are_accepted():
+    steps = (1e308, 1e308, 1.0)
+    assert math.isinf(sum(steps))
+    assert TimeGrid(steps).steps == steps
+
+
 def test_levels_are_read_only():
     g = build_uniform(3, 1.0)
     with pytest.raises(ValueError):
