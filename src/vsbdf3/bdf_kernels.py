@@ -2,13 +2,12 @@
 
 Level n uses the one-step kernel for n = 1, the two-step kernel for n = 2
 and the three-step kernel from n = 3 on.  Weights depend only on the local
-data (tau_n, r_n, r_{n-1}), and only through b_k = beta_k / tau_n, so one
-table of ratio parts beta_k (ratio_weights, built from one array call into
-each closed form) is the single source for every other form: the kernel
-weights b_k of every level (kernel_weights, which time stepping reads once
-per grid), the kernel matrix B, the step-scaled A = Lambda^{1/2} B
-Lambda^{1/2} and its entries traced in ratio_analysis; the shifted
-certification calls the closed forms level by level, with the same bits.
+data (tau_n, r_n, r_{n-1}), and only through b_k = beta_k / tau_n.  One
+table of ratio parts beta_k (ratio_weights, one array call into each closed
+form) gives the kernel weights b_k of every level (kernel_weights, which
+time stepping reads once per grid), the kernel matrix B and the step-scaled
+A = Lambda^{1/2} B Lambda^{1/2}; ratio_analysis reads the same closed forms
+at tau_n = 1 one level at a time, with the same bits, for both its traces.
 apply_D3 is the one place the backward-difference sum is written; the
 N x N matrices exist for analysis and diagnostics.
 

@@ -3,21 +3,23 @@
 Positive definiteness of the kernel matrices is decided by running the
 symmetric-elimination pivot recursion on their banded entries (Sylvester's
 criterion applied minor by minor) and stopping at the first nonpositive
-pivot.  The step-scaled entries come from the ratio-weight table of
-bdf_kernels, the gamma-shifted ones from its closed forms, one level at a
-time up to that pivot on power-of-two-scaled steps.  The closed-form
-certificates bound those pivots and couplings on the ratio box [0, 1.405]^2.
+pivot.  Both traces read one lazy row source over the step ratios, the
+rows of A + A^T - 2*gamma*I, A = Lambda^{1/2} B Lambda^{1/2}, which is
+congruent to B + B^T - 2*gamma*Lambda^{-1}; its pivots are the tau_j p_j
+that the closed-form certificates bound on the ratio box [0, 1.405]^2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import truediv
 
 import numpy as np
 
-from .bdf_kernels import _non_finite, bdf2_weights, bdf3_weights, ratio_weights
-from .time_grid import DEFAULT_RATIO_THRESHOLD, TimeGrid
+from .bdf_kernels import _non_finite, bdf2_weights, bdf3_weights
+from .time_grid import DEFAULT_RATIO_THRESHOLD, TimeGrid, _checked_ratios
 
 __all__ = [
     "GAMMA",
@@ -60,8 +62,9 @@ class SylvesterTrace:
     p[j-1] holds p_j; q is padded with q_1 = 0 (no coupling exists at j=1)
     so both run over the same levels.  When a nonpositive pivot appears the
     recursion stops there: first_negative is its 1-based level and p/q end
-    at that level.  The shifted variant's coupling envelopes for j >= 3 are
-    subdiagonal_envelopes(tau[2:], r[1:], r[:-1]) on the grid's arrays.
+    at that level.  They are those of A + A^T for the ratio-only trace, and of
+    B + B^T - 2*gamma*Lambda^{-1} for the shifted one, whose coupling envelopes
+    for j >= 3 are subdiagonal_envelopes(tau[2:], r[1:], r[:-1]).
     """
 
     p: tuple[float, ...]
@@ -73,17 +76,37 @@ class SylvesterTrace:
         return self.first_negative is None
 
 
-def _scaled_weights(ratios) -> np.ndarray:
-    """Rows (a0, a1, a2) of A = Lambda^{1/2} B Lambda^{1/2}, ratios only.
+def _scaled_rows(ratios, shift, steps=None):
+    """Rows (2*a0 - shift, a1, a2, unit, coupling unit) of A + A^T - shift*I.
 
-    a_0 = beta_0, a_1 = beta_1 / sqrt(r_n), a_2 = beta_2 / sqrt(r_n r_{n-1}),
-    with the table layout of ratio_weights.
+    a0 = beta_0, a1 = beta_1 / sqrt(r_n), a2 = beta_2 / sqrt(r_n r_{n-1}),
+    beta_k the closed-form weights at tau_n = 1; the units bring a pivot and
+    coupling back to B's scale: tau_n and tau_n / sqrt(r_n) given the steps,
+    else ones.  A level whose beta_k or entries are not finite (a 0/0 from
+    ratios that underflowed to zero), or whose unscaled diagonal (2*beta_0 -
+    shift) / tau_n overflows, raises ValueError.
     """
-    r = np.asarray(ratios, dtype=float)
-    a = ratio_weights(r)
-    a[1:, 1] /= np.sqrt(r)
-    a[2:, 2] /= np.sqrt(r[1:] * r[:-1])
-    return a
+    r, b0, b1, b2, root1, root2 = None, 1.0, 0.0, 0.0, 1.0, 1.0  # level 1
+    for n, r_n in enumerate(chain((None,), ratios), 1):
+        r_prev, r = r, r_n
+        if n == 2:
+            (b0, b1), b2, root1, root2 = bdf2_weights(1.0, r), 0.0, math.sqrt(r), 1.0
+        elif n > 2:
+            (b0, b1, b2), root1 = bdf3_weights(1.0, r, r_prev), math.sqrt(r)
+            root2 = math.sqrt(r * r_prev)
+        diag = 2.0 * b0 - shift
+        a1 = b1 / root1 if root1 else math.nan
+        a2 = b2 / root2 if root2 else math.nan
+        if not (math.isfinite(diag) and math.isfinite(a1) and math.isfinite(a2)):
+            if not (math.isfinite(b0) and math.isfinite(b1) and math.isfinite(b2)):
+                raise _non_finite(n, f"step ratio r_{n} = {r!r}", "beta_0, beta_1, beta_2",
+                                  (b0, b1, b2))
+            raise _non_finite(n, f"step ratio r_{n} = {r!r}", "a0, a1, a2", (b0, a1, a2))
+        t = 1.0 if steps is None else steps[n - 1]
+        if not math.isfinite(diag / t):
+            raise _non_finite(n, f"step {t!r}", "shifted diagonal, b1, b2",
+                              (diag / t, b1 / t, b2 / t))
+        yield diag, a1, a2, t, 1.0 if steps is None else t / root1
 
 
 def generating_function(r: float, x) -> np.ndarray | float:
@@ -94,48 +117,41 @@ def generating_function(r: float, x) -> np.ndarray | float:
     """
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"ratio must be positive and finite, got {r!r}")
-    a0, a1, a2 = _scaled_weights([r, r])[2]
+    diag, a1, a2, _, _ = list(_scaled_rows((r, r), 0.0))[2]
     x = np.asarray(x, dtype=float)
-    out = 2.0 * a2 * x**2 + a1 * x + (a0 - a2)
+    out = 2.0 * a2 * x**2 + a1 * x + (0.5 * diag - a2)
     return float(out) if out.ndim == 0 else out
 
 
 def _pivot_recursion(rows):
-    """Shared elimination core on the banded entries of S = K + K^T.
+    """Shared elimination core on the banded entries of a symmetric matrix.
 
-    rows yields (diag, sub, subsub) per level from level 1 on: the full
-    diagonal entry and the entries coupling the level to the one and two
-    before it, exact zeros where no such level exists.  No row is taken
-    after the first nonpositive pivot (the early stop of SylvesterTrace).
+    rows yields (diag, sub, subsub, unit, coupling unit) per level from level
+    1 on: the full diagonal entry, the entries coupling the level to the one
+    and two before it (exact zeros where no such level exists), and the units
+    its pivot and coupling are reported in.  No row is taken after the first
+    nonpositive pivot (the early stop of SylvesterTrace).
     """
     p, q = [], []
-    p1 = p2 = 1.0  # stand-ins for the pivots before level 1, met by zero couplings
-    q1 = 0.0
-    for diag, sub, subsub in rows:
+    p1, p2, q1 = 1.0, 1.0, 0.0  # stand-ins before level 1, met by zero couplings
+    for diag, sub, subsub, unit, coupling_unit in rows:
         q1 = sub - (q1 / p2) * subsub
         p2, p1 = p1, diag - subsub * subsub / p2 - q1 * q1 / p1
-        p.append(p1)
-        q.append(q1)
+        p.append(p1 / unit)
+        q.append(q1 / coupling_unit)
         if p1 <= 0.0:
             return tuple(p), tuple(q), len(p)
     return tuple(p), tuple(q), None
 
 
 def sylvester_trace_A_from_ratios(ratios) -> SylvesterTrace:
-    """Pivot recursion for the step-scaled kernel matrix, ratios only.
+    """Pivot recursion for A + A^T, the step-scaled kernel matrix, ratios only.
 
     The scaled matrix depends on the steps solely through adjacent ratios,
     so arbitrarily long constant-ratio chains can be traced without ever
     materializing a step sequence.
     """
-    ratios = np.asarray(ratios, dtype=float)
-    if ratios.ndim != 1:
-        raise ValueError("ratios must be a 1-D sequence")
-    if np.any(~np.isfinite(ratios)) or np.any(ratios <= 0.0):
-        raise ValueError("ratios must be positive and finite")
-    rows = ((2.0 * a0, a1, a2) for a0, a1, a2 in _scaled_weights(ratios).tolist())
-    p, q, first = _pivot_recursion(rows)
-    return SylvesterTrace(p=p, q=q, first_negative=first)
+    return SylvesterTrace(*_pivot_recursion(_scaled_rows(_checked_ratios(ratios).tolist(), 0.0)))
 
 
 def subdiagonal_envelopes(tau_j, r_j, r_jm1):
@@ -152,37 +168,14 @@ def subdiagonal_envelopes(tau_j, r_j, r_jm1):
 def sylvester_trace_shifted(grid: TimeGrid) -> SylvesterTrace:
     """Pivot recursion for the gamma-shifted kernel matrix B - gamma*Lambda^{-1}.
 
-    One pass over the levels on Python floats, which evaluates no level
-    after the first nonpositive pivot.  The shifted diagonal (2*beta_0 -
-    2*gamma) / tau absorbs the transpose doubling and the shift, couplings
-    are beta_k / tau, with beta_k from the closed forms, on the steps times
-    f = 2^-e, e the mean binary exponent of the extreme steps, so the step
-    size over- or underflows no square; p and q are scaled back by f, exactly.
-    A level whose ratio or step overflows its unscaled entries raises
-    ValueError, so a positive pivot (at most its diagonal) scales back finite.
+    One pass over the rows of the congruent A + A^T - 2*gamma*I, with the
+    grid's ratios computed lazily, that reads no level after the first
+    nonpositive pivot.  Its pivots tau_j p_j and couplings tau_j q_j / sqrt(r_j)
+    come back as p_j and q_j; a positive p_j is at most the unscaled diagonal.
     """
     tau = grid.steps
-    f = math.ldexp(1.0, -max((math.frexp(min(tau))[1] + math.frexp(max(tau))[1]) // 2, -1023))
-
-    def rows():
-        r = None
-        for n, t in enumerate(tau, 1):
-            if n == 1:
-                beta = (1.0, 0.0, 0.0)
-            else:
-                r_prev, r = r, t / tau[n - 2]
-                beta = (*bdf2_weights(1.0, r), 0.0) if n == 2 else bdf3_weights(1.0, r, r_prev)
-            ts = t * f
-            diag, sub, subsub = (2.0 * beta[0] - 2.0 * GAMMA) / ts, beta[1] / ts, beta[2] / ts
-            if not (math.isfinite(diag * f) and math.isfinite(sub * f) and math.isfinite(subsub * f)):
-                if not all(map(math.isfinite, beta)):
-                    raise _non_finite(n, f"step ratio r_{n} = {r!r}", "beta_0, beta_1, beta_2", beta)
-                raise _non_finite(n, f"step {t!r}", "shifted diagonal, b1, b2",
-                                  (diag * f, sub * f, subsub * f))
-            yield diag, sub, subsub
-
-    p, q, first = _pivot_recursion(rows())
-    return SylvesterTrace(tuple([x * f for x in p]), tuple([x * f for x in q]), first)
+    return SylvesterTrace(*_pivot_recursion(
+        _scaled_rows(map(truediv, tau[1:], tau), 2.0 * GAMMA, tau)))
 
 
 def certify_positive_definite(grid: TimeGrid) -> tuple[bool, SylvesterTrace]:

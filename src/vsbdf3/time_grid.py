@@ -198,11 +198,7 @@ def build_from_ratios(ratios, horizon: float) -> TimeGrid:
     len(ratios) = N-1 gives an N-step grid.  Steps are accumulated in log
     space so long ratio chains cannot overflow before normalization.
     """
-    ratios = np.asarray(ratios, dtype=float)
-    if ratios.ndim != 1:
-        raise ValueError("ratios must be a 1-D sequence")
-    if np.any(~np.isfinite(ratios)) or np.any(ratios <= 0.0):
-        raise ValueError("ratios must be positive and finite")
+    ratios = _checked_ratios(ratios)
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     logs = np.concatenate([[0.0], np.log(ratios)])
@@ -235,6 +231,16 @@ def _check_build_args(n: int, horizon: float) -> None:
         raise ValueError(f"step count must be >= 1, got {n}")
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+
+
+def _checked_ratios(ratios) -> np.ndarray:
+    """ratios as a 1-D float array; ValueError unless all are positive and finite."""
+    ratios = np.asarray(ratios, dtype=float)
+    if ratios.ndim != 1:
+        raise ValueError("ratios must be a 1-D sequence")
+    if np.any(~np.isfinite(ratios)) or np.any(ratios <= 0.0):
+        raise ValueError("ratios must be positive and finite")
+    return ratios
 
 
 def _ro(a: np.ndarray) -> np.ndarray:

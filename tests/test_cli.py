@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -108,6 +109,17 @@ def test_ratio_figure_traces_pivots(tmp_path):
     assert float(p) <= 0.0
 
 
+@pytest.mark.parametrize("ratio, length, sha256", [
+    ("1.732", "120", "88daf635818e2a00b9f099667ce2121e464bc42451bec142f026f149452b2d03"),
+    ("1.405", "10000", "a29e1f5c16c72609bc5554abec56f465c4083b80496b5eac98b7db4c296bd912"),
+])
+def test_ratio_figure_bytes_are_pinned(tmp_path, ratio, length, sha256):
+    out = tmp_path / "fig.csv"
+    assert main(["--quiet", "ratio-figure", "--ratio", ratio, "--length", length,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def test_ratio_figure_rejects_short_length():
     assert main(["--quiet", "ratio-figure", "--ratio", "1.1",
                  "--length", "1", "--out", "x.csv"]) == 2
@@ -151,6 +163,23 @@ def test_certify_exit_codes(tmp_path, capsys):
             assert not (tmp_path / "mats").exists()
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+        assert main(["--quiet", "certify", "--grid", str(subnormal)]) == 2
+        assert capsys.readouterr().err == (
+            "error: level 3: step 1e-320 gives non-finite kernel weights "
+            "shifted diagonal, b1, b2 = inf, -0.0, 0.0\n")
+        # a ratio, or the product of two, that underflows to zero makes the
+        # scaled coupling beta_k / sqrt(ratios) a 0/0 (the kernels command,
+        # which divides by no ratio, still builds these grids)
+        for text, level, cause, values in (
+                ('{"T": 1e300, "steps": [1e300, 1e-300, 1e-300]}', 2, "r_2 = 0.0", "1.0, nan, 0.0"),
+                ('{"T": 1e150, "steps": [1e150, 1e-50, 1e-250]}', 3, "r_3 = 1e-200",
+                 "1.0, -0.0, nan")):
+            underflow = tmp_path / "underflow.json"
+            underflow.write_text(text)
+            assert main(["--quiet", "certify", "--grid", str(underflow)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: level {level}: step ratio {cause} gives non-finite kernel weights "
+                f"a0, a1, a2 = {values}\n")
 
 
 def test_deeply_nested_grid_json_is_a_usage_error(tmp_path, capsys):

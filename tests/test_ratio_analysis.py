@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -116,6 +119,29 @@ def test_envelope_formulas_hand_value():
 def test_trace_from_ratios_rejects_malformed_ratios(ratios):
     with pytest.raises(ValueError, match="ratios must be a 1-D sequence"):
         sylvester_trace_A_from_ratios(ratios)
+
+
+@pytest.mark.parametrize("consumer", [sylvester_trace_A_from_ratios,
+                                      lambda ratios: build_from_ratios(ratios, 1.0)])
+@pytest.mark.parametrize("ratios, message", [
+    (1.2, "ratios must be a 1-D sequence"),
+    ([[1.2, 1.3]], "ratios must be a 1-D sequence"),
+    ([1.2, 0.0], "ratios must be positive and finite"),
+    ([-1.0], "ratios must be positive and finite"),
+    ([1.2, math.inf], "ratios must be positive and finite"),
+    ([math.nan], "ratios must be positive and finite"),
+])
+def test_ratio_consumers_reject_bad_ratios_alike(consumer, ratios, message):
+    with pytest.raises(ValueError, match=message):
+        consumer(ratios)
+
+
+def test_trace_from_ratios_refuses_a_product_of_ratios_that_underflows():
+    # r_3 r_2 = 1e-400 is zero, so a2 = beta_2 / sqrt(r_3 r_2) is 0/0
+    with pytest.raises(ValueError, match=re.escape(
+            "level 3: step ratio r_3 = 1e-200 gives non-finite kernel weights "
+            "a0, a1, a2 = 1.0, -0.0, nan")):
+        sylvester_trace_A_from_ratios([1e-200, 1e-200])
 
 
 def test_certification_accepts_threshold_ratio_chain():

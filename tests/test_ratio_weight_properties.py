@@ -5,7 +5,8 @@ kernels) and ratios in [0.02, 44], the range of the random-step
 convergence grids, plus extreme ratios that overflow the closed forms.
 The references are the closed forms evaluated at each level's (tau_n, r_n,
 r_{n-1}), the dense matrices of assemble_B, the identity D B = I, the
-Jacobi eigenvalue oracle, and the table path of the shifted trace.
+Jacobi eigenvalue oracle, a dense LDL^T, and the scaled table path of the
+shifted trace.
 """
 
 import math
@@ -18,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from vsbdf3.bdf_kernels import (  # noqa: E402
-    _require_finite,
+    _non_finite,
     assemble_B,
     bdf2_weights,
     bdf3_weights,
@@ -27,7 +28,7 @@ from vsbdf3.bdf_kernels import (  # noqa: E402
 )
 from vsbdf3.ratio_analysis import (  # noqa: E402
     GAMMA,
-    _scaled_weights,
+    _scaled_rows,
     certify_positive_definite,
     subdiagonal_envelopes,
     sylvester_trace_shifted,
@@ -83,9 +84,10 @@ def test_table_rows_over_tau_are_the_kernel_weights(ratios):
 @given(ratio_lists)
 def test_scaled_rows_are_the_step_scaled_matrix(ratios):
     g = build_from_ratios(ratios, 1.0)
-    a = _scaled_weights(g.ratios)
+    a = np.array(list(_scaled_rows(g.ratios, 0.0)))
+    np.testing.assert_array_equal(a[:, 3:], 1.0)  # A's own units
     A = assemble_B(g).A
-    np.testing.assert_allclose(np.diagonal(A), a[:, 0], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(np.diagonal(A), a[:, 0] / 2.0, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(np.diagonal(A, -1), a[1:, 1], rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(np.diagonal(A, -2), a[2:, 2], rtol=1e-13, atol=0.0)
 
@@ -149,17 +151,26 @@ def test_closed_forms_give_the_same_bits_on_floats_and_arrays(args):
 
 
 def _table_trace(g, levels):
-    """Shifted trace of the grid's first levels by the table path: the
-    ratio_weights table over the steps times f = 2^-e, e the mean binary
-    exponent of the smallest and largest step, whose entries times f must be
-    finite, then a plain elimination, and p and q times f."""
-    f = 2.0 ** -max((math.frexp(min(g.steps))[1] + math.frexp(max(g.steps))[1]) // 2, -1023)
-    tau, r = np.asarray(g.steps[:levels]) * f, np.asarray(g.ratios[:levels - 1])
-    band = ratio_weights(r)
-    band[:, 0] = 2.0 * band[:, 0] - 2.0 * GAMMA
-    with np.errstate(over="ignore"):
-        band /= tau[:, None]
-        _require_finite(band * f, "shifted diagonal, b1, b2", lambda n: f"step {g.steps[n - 1]!r}")
+    """Shifted trace of the grid's first levels by the scaled dense table: the
+    rows (2*a0 - 2*gamma, a1, a2) of A + A^T - 2*gamma*I from the
+    ratio_weights table, a_k = beta_k / sqrt(tau_{n-k} / tau_n), each finite
+    and with a finite unscaled diagonal (2*a0 - 2*gamma) / tau_n, then a plain
+    elimination, and p_j = (tau p)_j / tau_j, q_j = q'_j / (tau_j / sqrt(r_j))."""
+    tau, r = np.asarray(g.steps[:levels]), np.asarray(g.ratios[:levels - 1])
+    beta = ratio_weights(r)
+    a = beta.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a[1:, 1] /= np.sqrt(r)
+        a[2:, 2] /= np.sqrt(r[1:] * r[:-1])
+    band = a.copy()
+    band[:, 0] = 2.0 * a[:, 0] - 2.0 * GAMMA
+    for n in range(1, levels + 1):
+        if not np.isfinite(a[n - 1]).all():
+            raise _non_finite(n, f"step ratio r_{n} = {float(r[n - 2])!r}", "a0, a1, a2", a[n - 1])
+        with np.errstate(over="ignore"):
+            unscaled = np.r_[band[n - 1, 0], beta[n - 1, 1:]] / tau[n - 1]
+        if not np.isfinite(unscaled[0]):
+            raise _non_finite(n, f"step {g.steps[n - 1]!r}", "shifted diagonal, b1, b2", unscaled)
     diag, sub, subsub = band.T.tolist()
     p, q = [diag[0]], [0.0]
     if levels >= 2 and p[0] > 0.0:
@@ -171,7 +182,10 @@ def _table_trace(g, levels):
             q.append(sub[j] - (q[j - 1] / p[j - 2]) * subsub[j])
             p.append(diag[j] - subsub[j] * subsub[j] / p[j - 2] - q[j] * q[j] / p[j - 1])
     first = len(p) if p[-1] <= 0.0 else None
-    return [x * f for x in p], [x * f for x in q], first
+    k = len(p)
+    with np.errstate(over="ignore"):  # a nonpositive pivot may unscale to -inf
+        return (np.asarray(p) / tau[:k],
+                np.r_[q[0] / tau[0], np.asarray(q[1:]) / (tau[1:k] / np.sqrt(r[:k - 1]))], first)
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,7 +208,32 @@ def test_lazy_shifted_trace_is_the_table_trace_up_to_the_stop(ratios):
     p, q, first = _table_trace(g, len(tr.p))
     assert tr.first_negative == first
     for got, want in ((tr.p, p), (tr.q, q)):
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.asarray(got).tobytes() == want.tobytes()
+
+
+def _ldlt_pivots(S):
+    """Pivots d_j of a plain dense LDL^T of S, up to the first nonpositive one."""
+    n = len(S)
+    L, d = np.eye(n), []
+    for j in range(n):
+        d.append(S[j, j] - np.dot(L[j, :j] ** 2, d[:j]))
+        if d[j] <= 0.0:
+            break
+        L[j + 1:, j] = (S[j + 1:, j] - L[j + 1:, :j] @ (L[j, :j] * d[:j])) / d[j]
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratio_lists)
+def test_shifted_pivots_times_steps_are_the_dense_scaled_ldlt(ratios):
+    # the congruence B + B^T - 2 gamma Lambda^{-1} = Lambda^{-1/2} (A + A^T -
+    # 2 gamma I) Lambda^{-1/2} makes tau_j p_j the pivots of the scaled form
+    g = build_from_ratios(ratios, 1.0)
+    tr = sylvester_trace_shifted(g)
+    A = assemble_B(g).A
+    d = _ldlt_pivots(A + A.T - 2.0 * GAMMA * np.eye(g.n_steps))
+    assert tr.first_negative == (len(d) if d[-1] <= 0.0 else None)
+    np.testing.assert_allclose(np.asarray(tr.p) * g.steps[:len(tr.p)], d, rtol=1e-10, atol=0.0)
 
 
 @settings(max_examples=200, deadline=None)
