@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bdf_kernels import apply_D3, kernel_weights, ratio_weights
+from .bdf_kernels import apply_D3, kernel_weights
 from .ratio_analysis import GAMMA
 from .spectral import FieldState, SpectralOperator, energy, l2_norm
 from .time_grid import TimeGrid
@@ -57,7 +57,6 @@ __all__ = [
     "initial_state",
     "step",
     "run",
-    "solvability_bound",
     "check_solvability",
     "check_energy_condition",
     "consistency_probe",
@@ -120,15 +119,24 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
+    """What one level's solve used and did.
+
+    b0 is the leading kernel weight the level solved with and tau its step
+    tau_n; check_solvability and check_energy_condition read the two.
+    """
+
     level: int
     time: float
-    newton_iterations: int
+    b0: float
+    tau: float
     final_residual: float
-    solvability_ok: bool
-    energy_condition_ok: bool
     energy_value: float
     # GMRES iterations of each Newton correction, in order
     inner_iterations: tuple[int, ...] = ()
+
+    @property
+    def newton_iterations(self) -> int:
+        return len(self.inner_iterations)
 
 
 @dataclass(frozen=True)
@@ -163,11 +171,9 @@ def forcing(x, y, t, eps2):
     """Source making exact_solution solve u_t - eps2*Lap(u) + u^3 - u = g."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    px, py = 1.0 - x * x, 1.0 - y * y
-    u = (t**4 + 1.0) * px * py
-    ut = 4.0 * t**3 * px * py
-    lap = -2.0 * (t**4 + 1.0) * (px + py)
-    return ut - eps2 * lap + u**3 - u
+    u = exact_solution(x, y, t)
+    lap = -2.0 * (t**4 + 1.0) * ((1.0 - x * x) + (1.0 - y * y))
+    return exact_time_derivative(x, y, t) - eps2 * lap + u**3 - u
 
 
 def default_energy_initial_data(x, y):
@@ -223,16 +229,12 @@ def step(config: SolverConfig, history, n: int) -> tuple[FieldState, StepDiagnos
         u = u + du
         inner.append(its)
 
-    tau_n = grid.step(n)
     diag = StepDiagnostics(
         level=n,
         time=t_n,
-        newton_iterations=len(inner),
+        b0=b0,
+        tau=grid.step(n),
         final_residual=res_norm,
-        # b0 > 1 is the unique-solvability condition at every level; the
-        # energy condition additionally caps the raw step at 2*gamma.
-        solvability_ok=b0 > 1.0,
-        energy_condition_ok=(b0 >= 1.0 and tau_n <= 2.0 * GAMMA),
         energy_value=energy(op, u, eps2),
         inner_iterations=tuple(inner),
     )
@@ -318,24 +320,14 @@ def run(config: SolverConfig) -> RunResult:
     )
 
 
-def solvability_bound(r_n: float, r_nm1: float) -> float:
-    """Largest tau_n with a strictly convex level functional (three-step kernel).
-
-    That is the ratio part beta_0 of the leading weight: b0 = beta_0 / tau_n
-    exceeds 1 exactly below it.  Ratios that overflow the weights raise
-    ValueError.
-    """
-    return float(ratio_weights([r_nm1, r_n])[2, 0])
+def check_solvability(b0: float) -> bool:
+    """Unique solvability of a level: its functional is strictly convex."""
+    return b0 > 1.0
 
 
-def check_solvability(tau_n: float, r_n: float, r_nm1: float) -> bool:
-    """tau_n below the convexity bound; equivalent to b0 > 1 at the level."""
-    return tau_n < solvability_bound(r_n, r_nm1)
-
-
-def check_energy_condition(tau_n: float, r_n: float, r_nm1: float) -> bool:
+def check_energy_condition(b0: float, tau_n: float) -> bool:
     """Step restriction under which the discrete energy cannot exceed E(u^0)."""
-    return tau_n <= min(solvability_bound(r_n, r_nm1), 2.0 * GAMMA)
+    return b0 >= 1.0 and tau_n <= 2.0 * GAMMA
 
 
 def consistency_probe(grid: TimeGrid, v: Callable[[float], float],

@@ -28,6 +28,7 @@ __all__ = [
     "LAMBDA_MIN",
     "LAMBDA_MAX",
     "MAX_CERTIFIED_RATIO",
+    "SWEEP_KAPPAS",
     "SylvesterTrace",
     "LemmaSweepResult",
     "generating_function",
@@ -53,6 +54,8 @@ LAMBDA_MIN = 1.99
 LAMBDA_MAX = 3.99
 # Largest adjacent-step ratio the certificates cover.
 MAX_CERTIFIED_RATIO = DEFAULT_RATIO_THRESHOLD
+# Envelope constants at which sweep_lemma_bounds evaluates the transfer factor.
+SWEEP_KAPPAS = (KAPPA_MIN, 0.5, 1.0, KAPPA_MAX)
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,9 @@ class SylvesterTrace:
     recursion stops there: first_negative is its 1-based level and p/q end
     at that level.  They are those of A + A^T for the ratio-only trace, and of
     B + B^T - 2*gamma*Lambda^{-1} for the shifted one, whose coupling envelopes
-    for j >= 3 are subdiagonal_envelopes(tau[2:], r[1:], r[:-1]).
+    for j >= 3 are subdiagonal_envelopes(tau[2:], r[1:], r[:-1]).  The verdict
+    rests on the scale-free pivot; the pivot at the stop, brought back to B's
+    scale, can be +-inf when it leaves the float range there.
     """
 
     p: tuple[float, ...]
@@ -274,8 +279,7 @@ SUBDIAG_TOL = 1e-12
 PIVOT_SCALED_TOL = 1e-9
 
 
-def sweep_lemma_bounds(resolution: float = 0.005,
-                       kappas=(KAPPA_MIN, 0.5, 1.0, KAPPA_MAX)) -> LemmaSweepResult:
+def sweep_lemma_bounds(resolution: float = 0.005) -> LemmaSweepResult:
     """Evaluate the certificates on a grid of the box at the given spacing."""
     if not (0.0 < resolution <= MAX_CERTIFIED_RATIO):
         raise ValueError(f"resolution must lie in (0, {MAX_CERTIFIED_RATIO}]")
@@ -284,7 +288,7 @@ def sweep_lemma_bounds(resolution: float = 0.005,
     x, y = np.meshgrid(axis, axis, indexing="ij")
 
     t_min, t_max = math.inf, -math.inf
-    for kappa in kappas:
+    for kappa in SWEEP_KAPPAS:
         t = envelope_transfer_factor(x, y, kappa)
         t_min, t_max = min(t_min, float(t.min())), max(t_max, float(t.max()))
 
@@ -304,7 +308,7 @@ def sweep_lemma_bounds(resolution: float = 0.005,
     )
     return LemmaSweepResult(
         resolution=resolution,
-        kappas=tuple(float(k) for k in kappas),
+        kappas=SWEEP_KAPPAS,
         transfer_min=t_min,
         transfer_max=t_max,
         subdiag_min=float(s.min()),

@@ -170,7 +170,7 @@ def test_criterion_06_generating_function_sign(capsys):
 
 
 def test_criterion_07_certificate_bound_sweep(capsys):
-    res = sweep_lemma_bounds(resolution=0.005, kappas=(0.25, 0.5, 1.0, 1.4))
+    res = sweep_lemma_bounds(resolution=0.005)
     ok = (res.passed
           and res.transfer_min >= 1.0 - 1e-12 and res.transfer_max <= 2.7 + 1e-12
           and res.subdiag_max <= 1e-12

@@ -21,10 +21,9 @@ from vsbdf3.allen_cahn import (
     forcing,
     initial_state,
     run,
-    solvability_bound,
     step,
 )
-from vsbdf3.bdf_kernels import apply_D3, bdf3_weights, kernel_weights, ratio_weights
+from vsbdf3.bdf_kernels import apply_D3, bdf3_weights, kernel_weights
 from vsbdf3.spectral import chebyshev_operator, fourier_operator, l2_norm
 from vsbdf3.time_grid import build_from_steps, build_random, build_uniform, random_bounded_grid
 
@@ -277,41 +276,33 @@ def test_energy_mode_monotone_on_bounded_grid():
     assert res.errors is None
     e0 = res.energies[0]
     assert max(res.energies) <= e0 + 1e-10
-    for d in res.diagnostics:
-        assert d.energy_condition_ok
-        assert d.solvability_ok
+    # the diagnostics record the weight and step the level solved with
+    weights = kernel_weights(grid)
+    for n, d in enumerate(res.diagnostics, 1):
+        assert d.b0 == weights[n - 1, 0]
+        assert d.tau == grid.steps[n - 1]
+        assert check_energy_condition(d.b0, d.tau)
+        assert check_solvability(d.b0)
 
 
 def test_solvability_bound_and_checks():
-    assert solvability_bound(1.0, 1.0) == pytest.approx(11 / 6)
-    assert check_solvability(1.0, 1.0, 1.0)
-    assert not check_solvability(2.0, 1.0, 1.0)
-    # the bound is the leading ratio part beta_0 of the three-step table row
-    for r_n, r_nm1 in make_rng(4).uniform(0.02, 44.0, size=(100, 2)):
-        assert solvability_bound(r_n, r_nm1) == ratio_weights([r_nm1, r_n])[2, 0]
-
-
-def test_overflowing_ratios_in_the_step_checks_are_rejected():
-    with pytest.raises(ValueError, match="non-finite kernel weights"):
-        solvability_bound(1e200, 1.0)
-    with pytest.raises(ValueError, match="non-finite kernel weights"):
-        check_energy_condition(0.001, 1e-200, 1e200)
-
-
-def test_solvability_matches_leading_weight_exceeding_one():
-    rng = make_rng(1)
-    for _ in range(10_000):
-        tau = rng.uniform(1e-3, 3.0)
-        r = rng.uniform(0.05, 2.0)
-        b0 = bdf3_weights(tau, r, r)[0]
-        assert check_solvability(tau, r, r) == (b0 > 1.0)
+    # at unit ratios b0 = (11/6)/tau, so the level is solvable below tau = 11/6
+    assert bdf3_weights(1.0, 1.0, 1.0)[0] == pytest.approx(11 / 6)
+    assert check_solvability(bdf3_weights(1.0, 1.0, 1.0)[0])
+    assert not check_solvability(bdf3_weights(2.0, 1.0, 1.0)[0])
+    # strict at b0 = 1, where the energy condition still holds
+    assert not check_solvability(1.0)
+    assert check_energy_condition(1.0, 0.01)
+    assert not check_energy_condition(np.nextafter(1.0, 0.0), 0.01)
 
 
 def test_energy_condition_caps_the_step():
-    assert check_energy_condition(0.01, 1.0, 1.0)
-    assert not check_energy_condition(0.0101, 1.0, 1.0)
-    # the three-step bound can be smaller than the cap for steep ratios
-    assert check_energy_condition(0.005, 1.405, 1.405)
+    def holds(tau, r):
+        return check_energy_condition(bdf3_weights(tau, r, r)[0], tau)
+
+    assert holds(0.01, 1.0)
+    assert not holds(0.0101, 1.0)
+    assert holds(0.005, 1.405)
 
 
 def test_consistency_probe_linear_and_cubic():

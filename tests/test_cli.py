@@ -311,6 +311,18 @@ def test_validate_lemmas_quick_resolution():
     assert main(["--quiet", "validate-lemmas", "--resolution", "0.05"]) == 0
 
 
+def test_validate_lemmas_stdout_is_pinned(capsys):
+    assert main(["validate-lemmas"]) == 0
+    assert capsys.readouterr().out == (
+        "resolution 0.005, kappas [0.25, 0.5, 1.0, 1.4]\n"
+        "  transfer factor   in [1.000000000000, 2.633322817258]  (certified [1, 2.7])\n"
+        "  subdiag cert      in [-1.650820e+00, 0.000000e+00]  (certified <= 0)\n"
+        "  pivot lower cert  in [-1.136868e-13, 1.697316e+03]  (certified >= 0)\n"
+        "  pivot upper cert  in [-1.632615e+03, -2.000000e+00]  (certified <= 0)\n"
+        "all bounds hold\n"
+    )
+
+
 def test_energy_command_writes_trace(tmp_path):
     out = tmp_path / "energy.csv"
     rc = main(["--quiet", "energy", "--eps2", "0.16", "--tau", "0.01",

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from vsbdf3.ratio_analysis import (
     LAMBDA_MAX,
     LAMBDA_MIN,
     MAX_CERTIFIED_RATIO,
+    SWEEP_KAPPAS,
     certify_positive_definite,
     envelope_transfer_factor,
     generating_function,
@@ -157,6 +159,19 @@ def test_certification_rejects_steep_chain():
     assert tr.first_negative == 30
 
 
+def test_pivot_at_the_stop_may_leave_the_float_range_on_the_grid_scale():
+    # the verdict comes from the scale-free pivot; only the report divides it
+    # by the level's step (about 3e-305), which overflows to -inf
+    grid = build_from_ratios([7.0, 10.0, 1e300, 6.0, 7.0, 24.0, 34.0], 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok, tr = certify_positive_definite(grid)
+    assert not ok
+    assert tr.first_negative == 3
+    assert math.isfinite(tr.p[0]) and math.isfinite(tr.p[1])
+    assert tr.p[2] == -math.inf
+
+
 def test_lemma_functions_hand_values():
     assert envelope_transfer_factor(0.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
     assert pivot_upper_certificate(0.0, 0.0) == pytest.approx(-2.0, abs=1e-14)
@@ -180,8 +195,9 @@ def test_pivot_certificate_follows_gamma(monkeypatch):
 
 
 def test_quick_lemma_sweep_passes_at_coarse_resolution():
-    res = sweep_lemma_bounds(resolution=0.05, kappas=(0.25, 1.4))
+    res = sweep_lemma_bounds(resolution=0.05)
     assert res.passed
+    assert res.kappas == SWEEP_KAPPAS == (0.25, 0.5, 1.0, 1.4)
     assert res.transfer_min >= 1.0 - 1e-12
     assert res.transfer_max <= 2.7 + 1e-12
     assert res.subdiag_max <= 1e-12
