@@ -35,7 +35,6 @@ from .ratio_analysis import (
     sylvester_trace_shifted,
 )
 from .spectral import (
-    FieldState,
     SpectralOperator,
     chebyshev_operator,
     energy,
@@ -43,7 +42,6 @@ from .spectral import (
     l2_norm,
 )
 from .time_grid import (
-    RatioReport,
     TimeGrid,
     build_alternating,
     build_from_ratios,
@@ -53,7 +51,6 @@ from .time_grid import (
     load_grid,
     random_bounded_grid,
     save_grid,
-    validate_ratios,
 )
 
 __version__ = "0.1.0"

@@ -40,8 +40,8 @@ import numpy as np
 
 from .bdf_kernels import apply_D3, kernel_weights
 from .ratio_analysis import GAMMA
-from .spectral import FieldState, SpectralOperator, energy, l2_norm
-from .time_grid import TimeGrid
+from .spectral import SpectralOperator, energy, l2_norm
+from .time_grid import TimeGrid, _ro
 
 __all__ = [
     "NEWTON_TOL",
@@ -143,12 +143,13 @@ class StepDiagnostics:
 class RunResult:
     """Trajectory, per-level diagnostics and traces of one run.
 
-    errors holds the discrete L2 error against the exact solution per level
-    (manufactured runs only, None otherwise); energies holds the discrete
-    free energy at levels 0..N.
+    states holds the read-only field at the grid's levels 0..N; errors holds
+    the discrete L2 error against the exact solution per level (manufactured
+    runs only, None otherwise); energies holds the discrete free energy at
+    levels 0..N.
     """
 
-    states: tuple[FieldState, ...]
+    states: tuple[np.ndarray, ...]
     diagnostics: tuple[StepDiagnostics, ...]
     energies: np.ndarray
     errors: np.ndarray | None = None
@@ -181,7 +182,7 @@ def default_energy_initial_data(x, y):
     return 0.05 * np.sin(np.asarray(x)) * np.sin(np.asarray(y))
 
 
-def initial_state(config: SolverConfig) -> FieldState:
+def initial_state(config: SolverConfig) -> np.ndarray:
     X, Y = config.operator.mesh
     if config.initial_data is not None:
         u0 = np.asarray(config.initial_data(X, Y), dtype=float)
@@ -191,11 +192,11 @@ def initial_state(config: SolverConfig) -> FieldState:
         u0 = default_energy_initial_data(X, Y)
     if u0.shape != X.shape:
         raise ValueError("initial data does not match the operator unknowns")
-    return FieldState(values=u0, time=0.0)
+    return _ro(u0)
 
 
-def step(config: SolverConfig, history, n: int) -> tuple[FieldState, StepDiagnostics]:
-    """Advance to level n given FieldStates for levels 0..n-1."""
+def step(config: SolverConfig, history, n: int) -> tuple[np.ndarray, StepDiagnostics]:
+    """Advance to level n given the fields of levels 0..n-1."""
     grid, op, eps2 = config.grid, config.operator, config.eps2
     if not 1 <= n <= grid.n_steps:
         raise ValueError(f"level {n} outside 1..{grid.n_steps}")
@@ -204,12 +205,11 @@ def step(config: SolverConfig, history, n: int) -> tuple[FieldState, StepDiagnos
     weights = config.kernel_weights[n - 1]
     b0 = float(weights[0])
     t_n = float(grid.levels[n])
-    known = [state.values for state in history[-3:]]
 
     # Newton starts from u = u^(n-1).  D3 with u^n replaced by u^(n-1) is the
     # part of the derivative that the history fixes: b1*du^(n-1) + b2*du^(n-2)
-    u = known[-1]
-    rhs = b0 * u - apply_D3(weights, known + [u])
+    u = history[-1]
+    rhs = b0 * u - apply_D3(weights, [*history[-3:], u])
     if config.forcing == "manufactured":
         X, Y = op.mesh
         rhs = rhs + forcing(X, Y, t_n, eps2)
@@ -238,7 +238,7 @@ def step(config: SolverConfig, history, n: int) -> tuple[FieldState, StepDiagnos
         energy_value=energy(op, u, eps2),
         inner_iterations=tuple(inner),
     )
-    return FieldState(values=u, time=t_n), diag
+    return _ro(u), diag
 
 
 def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.ndarray,
@@ -311,7 +311,7 @@ def run(config: SolverConfig) -> RunResult:
         diagnostics.append(diag)
         energies.append(diag.energy_value)
         if manufactured:
-            errors.append(l2_norm(op, state.values - exact_solution(X, Y, state.time)))
+            errors.append(l2_norm(op, state - exact_solution(X, Y, diag.time)))
     return RunResult(
         states=tuple(states),
         diagnostics=tuple(diagnostics),

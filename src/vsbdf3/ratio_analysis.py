@@ -190,30 +190,26 @@ def certify_positive_definite(grid: TimeGrid) -> tuple[bool, SylvesterTrace]:
 
 
 # ---------------------------------------------------------------------------
-# closed-form bound certificates on the ratio box [0, 1.405]^2
+# closed-form bound certificates on the ratio box [0, 1.405]^2; each evaluates
+# one expression, on floats or on arrays of one shape
 
 
 def envelope_transfer_factor(x, y, kappa):
     """Factor carrying the coupling envelope one level forward; in [1, 2.7]."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     num = (1.0 + 2.0 * y + x * y) ** 2 - y * (1.0 + y)
     mix = 1.0 + y + x * y
-    out = num / ((1.0 + y) * mix) - kappa * y**4 * (1.0 + x) ** 2 / ((1.0 + y) ** 2 * mix)
-    return float(out) if out.ndim == 0 else out
+    return num / ((1.0 + y) * mix) - kappa * y**4 * (1.0 + x) ** 2 / ((1.0 + y) ** 2 * mix)
 
 
 def subdiagonal_certificate(x, y):
     """Certifies q_j <= b1_j + nu_j <= 0: nonpositive on the whole box."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     num = (1.0 + 2.0 * y + x * y) ** 2 - y * (1.0 + y)
     mix = 1.0 + y + x * y
-    out = (-(x**2) * num / ((1.0 + x) * (1.0 + y) * mix)
-           + KAPPA_MAX * x**2 * y**4 * (1.0 + x) / ((1.0 + y) ** 2 * mix))
-    return float(out) if out.ndim == 0 else out
+    return (-(x**2) * num / ((1.0 + x) * (1.0 + y) * mix)
+            + KAPPA_MAX * x**2 * y**4 * (1.0 + x) / ((1.0 + y) ** 2 * mix))
 
 
 def _pivot_certificate_terms(x, y, lam, kappa):
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     ox, oy = 1.0 + x, 1.0 + y
     mix = 1.0 + y + x * y
     # the shifted diagonal (2*beta_0 - 2*GAMMA) times (1+x)*mix, a polynomial
@@ -230,15 +226,13 @@ def _pivot_certificate_terms(x, y, lam, kappa):
 def pivot_lower_certificate(x, y):
     """Certifies tau_j * p_j >= 1.99: nonnegative on the whole box."""
     t1, t2, t3, t4 = _pivot_certificate_terms(x, y, LAMBDA_MIN, KAPPA_MIN)
-    out = t1 - t2 - t3 - t4
-    return float(out) if out.ndim == 0 else out
+    return t1 - t2 - t3 - t4
 
 
 def pivot_upper_certificate(x, y):
     """Certifies tau_j * p_j <= 3.99: nonpositive on the whole box."""
     t1, t2, t3, t4 = _pivot_certificate_terms(x, y, LAMBDA_MAX, KAPPA_MAX)
-    out = t1 - t2 - t3 - t4
-    return float(out) if out.ndim == 0 else out
+    return t1 - t2 - t3 - t4
 
 
 def pivot_certificate_scales(x, y) -> tuple:
@@ -257,7 +251,6 @@ class LemmaSweepResult:
     """Extremes of the four certificates over a regular grid on the box."""
 
     resolution: float
-    kappas: tuple[float, ...]
     transfer_min: float
     transfer_max: float
     subdiag_min: float
@@ -308,7 +301,6 @@ def sweep_lemma_bounds(resolution: float = 0.005) -> LemmaSweepResult:
     )
     return LemmaSweepResult(
         resolution=resolution,
-        kappas=SWEEP_KAPPAS,
         transfer_min=t_min,
         transfer_max=t_max,
         subdiag_min=float(s.min()),

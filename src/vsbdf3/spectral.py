@@ -35,7 +35,6 @@ from .time_grid import _ro
 
 __all__ = [
     "SpectralOperator",
-    "FieldState",
     "chebyshev_nodes",
     "chebyshev_diff_matrix",
     "open_chebyshev_weights",
@@ -138,19 +137,6 @@ class SpectralOperator:
         return _ro(np.kron(self.d1, np.eye(self.d1.shape[0])))
 
 
-@dataclass(frozen=True)
-class FieldState:
-    """Field values on the operator unknowns at one time level."""
-
-    values: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-
 def chebyshev_nodes(m: int) -> np.ndarray:
     """Gauss-Lobatto points cos(j*pi/m), j = 0..m (descending from 1 to -1)."""
     return np.cos(np.pi * np.arange(m + 1) / m)
@@ -228,7 +214,7 @@ def fourier_operator(m: int) -> SpectralOperator:
 
 
 def _values(op: SpectralOperator, f) -> np.ndarray:
-    v = f.values if isinstance(f, FieldState) else np.asarray(f, dtype=float)
+    v = np.asarray(f, dtype=float)
     if v.shape != (op.n_unknowns,):
         raise ValueError(
             f"field has shape {v.shape}, operator has {op.n_unknowns} unknowns"

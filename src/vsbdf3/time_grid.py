@@ -1,4 +1,4 @@
-"""Nonuniform time grids: construction, ratio validation, serialization.
+"""Nonuniform time grids: construction and serialization.
 
 The step sizes are the stored truth; levels and adjacent-step ratios are
 derived views.  All constructors normalize the steps to sum to the requested
@@ -18,20 +18,18 @@ import numpy as np
 __all__ = [
     "DEFAULT_RATIO_THRESHOLD",
     "TimeGrid",
-    "RatioReport",
     "build_uniform",
     "build_alternating",
     "build_random",
     "build_from_steps",
     "build_from_ratios",
     "random_bounded_grid",
-    "validate_ratios",
     "load_grid",
     "save_grid",
 ]
 
 # Largest adjacent-step ratio covered by the positive-definiteness
-# certification; validate_ratios flags anything above it by default.
+# certification; random_bounded_grid keeps every ratio within it.
 DEFAULT_RATIO_THRESHOLD = 1.405
 _DECODER = json.JSONDecoder(parse_int=float)  # so an integer too large for a float is inf
 
@@ -119,24 +117,6 @@ class TimeGrid:
         return grid
 
 
-@dataclass(frozen=True)
-class RatioReport:
-    """Summary of adjacent-step ratios against a threshold.
-
-    max_ratio/min_ratio are None for single-step grids (no ratios exist);
-    violations holds (k, r_k) pairs, 1-based step index, for r_k > threshold.
-    """
-
-    threshold: float
-    max_ratio: float | None
-    min_ratio: float | None
-    violations: tuple[tuple[int, float], ...]
-
-    @property
-    def ok(self) -> bool:
-        return len(self.violations) == 0
-
-
 def build_uniform(n: int, horizon: float) -> TimeGrid:
     """n equal steps of size horizon/n."""
     _check_build_args(n, horizon)
@@ -205,15 +185,6 @@ def build_from_ratios(ratios, horizon: float) -> TimeGrid:
     rel = np.exp(np.cumsum(logs) - np.max(np.cumsum(logs)))
     steps = horizon * rel / rel.sum()
     return TimeGrid(tuple(float(s) for s in steps))
-
-
-def validate_ratios(grid: TimeGrid, threshold: float = DEFAULT_RATIO_THRESHOLD) -> RatioReport:
-    """Report max/min ratios and every step index whose ratio exceeds threshold."""
-    r = grid.ratios
-    if not r:
-        return RatioReport(threshold, None, None, ())
-    violations = tuple((i + 2, rk) for i, rk in enumerate(r) if rk > threshold)
-    return RatioReport(threshold, max(r), min(r), violations)
 
 
 def save_grid(grid: TimeGrid, path) -> Path:

