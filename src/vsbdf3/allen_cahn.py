@@ -141,15 +141,15 @@ class StepDiagnostics:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Trajectory, per-level diagnostics and traces of one run.
+    """Final field, per-level diagnostics and traces of one run.
 
-    states holds the read-only field at the grid's levels 0..N; errors holds
+    final_state is the read-only field at the grid's level N; errors holds
     the discrete L2 error against the exact solution per level (manufactured
     runs only, None otherwise); energies holds the discrete free energy at
     levels 0..N.
     """
 
-    states: tuple[np.ndarray, ...]
+    final_state: np.ndarray
     diagnostics: tuple[StepDiagnostics, ...]
     energies: np.ndarray
     errors: np.ndarray | None = None
@@ -196,12 +196,12 @@ def initial_state(config: SolverConfig) -> np.ndarray:
 
 
 def step(config: SolverConfig, history, n: int) -> tuple[np.ndarray, StepDiagnostics]:
-    """Advance to level n given the fields of levels 0..n-1."""
+    """Advance to level n given the fields of levels max(0, n-3)..n-1."""
     grid, op, eps2 = config.grid, config.operator, config.eps2
     if not 1 <= n <= grid.n_steps:
         raise ValueError(f"level {n} outside 1..{grid.n_steps}")
-    if len(history) != n:
-        raise ValueError(f"history must hold levels 0..{n - 1}, got {len(history)} states")
+    if len(history) != min(n, 3):
+        raise ValueError(f"history must hold the last {min(n, 3)} levels, got {len(history)}")
     weights = config.kernel_weights[n - 1]
     b0 = float(weights[0])
     t_n = float(grid.levels[n])
@@ -209,7 +209,7 @@ def step(config: SolverConfig, history, n: int) -> tuple[np.ndarray, StepDiagnos
     # Newton starts from u = u^(n-1).  D3 with u^n replaced by u^(n-1) is the
     # part of the derivative that the history fixes: b1*du^(n-1) + b2*du^(n-2)
     u = history[-1]
-    rhs = b0 * u - apply_D3(weights, [*history[-3:], u])
+    rhs = b0 * u - apply_D3(weights, [*history, u])
     if config.forcing == "manufactured":
         X, Y = op.mesh
         rhs = rhs + forcing(X, Y, t_n, eps2)
@@ -296,24 +296,24 @@ def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.nd
 
 
 def run(config: SolverConfig) -> RunResult:
-    """Integrate over the whole grid, collecting diagnostics and traces."""
+    """Integrate over the whole grid, keeping only the three fields step reads."""
     op = config.operator
-    states = [initial_state(config)]
-    energies = [energy(op, states[0], config.eps2)]
+    state = initial_state(config)
+    history, energies = [], [energy(op, state, config.eps2)]
     diagnostics = []
     manufactured = config.forcing == "manufactured" and config.initial_data is None
     errors = [0.0] if manufactured else None
     if manufactured:
         X, Y = op.mesh
     for n in range(1, config.grid.n_steps + 1):
-        state, diag = step(config, states, n)
-        states.append(state)
+        history = [*history[-2:], state]
+        state, diag = step(config, history, n)
         diagnostics.append(diag)
         energies.append(diag.energy_value)
         if manufactured:
             errors.append(l2_norm(op, state - exact_solution(X, Y, diag.time)))
     return RunResult(
-        states=tuple(states),
+        final_state=state,
         diagnostics=tuple(diagnostics),
         energies=np.asarray(energies),
         errors=None if errors is None else np.asarray(errors),
@@ -343,6 +343,7 @@ def consistency_probe(grid: TimeGrid, v: Callable[[float], float],
     weights = kernel_weights(grid)
     out = np.empty(grid.n_steps)
     for j in range(1, grid.n_steps + 1):
-        out[j - 1] = abs(apply_D3(weights[j - 1], samples[: j + 1]) - float(v_prime(t[j])))
+        known = samples[max(0, j - 3) : j + 1]
+        out[j - 1] = abs(apply_D3(weights[j - 1], known) - float(v_prime(t[j])))
     return out
 

@@ -314,13 +314,12 @@ _KERNELS_MAX_STEPS = 3000
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses counts over LIMITS once parsed; run keeps all fields, steps * m^2 doubles (1 GiB)."""
-    LIMITS = dict.fromkeys(("n", "steps", "length", "levels"), 10**6) | {"m": 512, "steps * m^2": 2**27}
+    """Refuses counts over LIMITS once parsed; at m = 512 the GMRES basis is 1 GiB."""
+    LIMITS = dict.fromkeys(("n", "steps", "length", "levels"), 10**6) | {"m": 512}
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
         top = {k: int(max(np.ravel(v))) for k, v in vars(namespace).items() if k in self.LIMITS}
-        top["steps * m^2"] = max(top.get("n", 0), top.get("steps", 0)) * top.get("m", 0) ** 2
         for key, value in top.items():
             if value > self.LIMITS[key]:
                 self.error(f"{key} = {value} is above the limit {self.LIMITS[key]}")

@@ -123,9 +123,7 @@ def generating_function(r: float, x) -> np.ndarray | float:
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"ratio must be positive and finite, got {r!r}")
     diag, a1, a2, _, _ = list(_scaled_rows((r, r), 0.0))[2]
-    x = np.asarray(x, dtype=float)
-    out = 2.0 * a2 * x**2 + a1 * x + (0.5 * diag - a2)
-    return float(out) if out.ndim == 0 else out
+    return 2.0 * a2 * x**2 + a1 * x + (0.5 * diag - a2)
 
 
 def _pivot_recursion(rows):
@@ -241,9 +239,8 @@ def pivot_certificate_scales(x, y) -> tuple:
     The certificates cancel severely near the box corners, so tolerances in
     sweeps are scaled by these sums rather than stated absolutely.
     """
-    scales = tuple(sum(np.abs(t) for t in _pivot_certificate_terms(x, y, lam, kappa))
-                   for lam, kappa in ((LAMBDA_MIN, KAPPA_MIN), (LAMBDA_MAX, KAPPA_MAX)))
-    return tuple(map(float, scales)) if np.ndim(scales[0]) == 0 else scales
+    return tuple(sum(abs(t) for t in _pivot_certificate_terms(x, y, lam, kappa))
+                 for lam, kappa in ((LAMBDA_MIN, KAPPA_MIN), (LAMBDA_MAX, KAPPA_MAX)))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +26,7 @@ from vsbdf3.allen_cahn import (
     step,
 )
 from vsbdf3.bdf_kernels import apply_D3, bdf3_weights, kernel_weights
-from vsbdf3.spectral import chebyshev_operator, fourier_operator, l2_norm
+from vsbdf3.spectral import chebyshev_operator, energy, fourier_operator, l2_norm
 from vsbdf3.time_grid import build_from_steps, build_random, build_uniform, random_bounded_grid
 
 
@@ -67,8 +69,7 @@ def test_steady_states_need_no_newton_iterations():
         res = run(cfg)
         for d in res.diagnostics:
             assert d.newton_iterations == 0
-        for u in res.states:
-            np.testing.assert_array_equal(u, res.states[0])
+        np.testing.assert_array_equal(res.final_state, initial_state(cfg))
 
 
 @pytest.mark.parametrize("value", [math.nan, 1e200])
@@ -112,6 +113,33 @@ def test_step_rejects_a_level_outside_the_grid():
         step(cfg, [], 0)
     with pytest.raises(ValueError, match=r"level 3 outside 1\.\.2"):
         step(cfg, [initial_state(cfg)] * 3, 3)
+
+
+def test_step_rejects_a_history_of_the_wrong_length():
+    cfg = SolverConfig(build_uniform(6, 0.3), chebyshev_operator(6), eps2=0.16)
+    u0 = initial_state(cfg)
+    with pytest.raises(ValueError, match="history must hold the last 3 levels, got 2"):
+        step(cfg, [u0] * 2, 5)
+    with pytest.raises(ValueError, match="history must hold the last 1 levels, got 2"):
+        step(cfg, [u0] * 2, 1)
+
+
+def test_run_keeps_only_the_final_field(monkeypatch):
+    # every field step returns is read-only, and none but the last outlives run
+    fields = []
+
+    def recorded(config, history, n):
+        u, diag = step(config, history, n)
+        assert type(u) is np.ndarray and not u.flags.writeable
+        fields.append(weakref.ref(u))
+        return u, diag
+
+    monkeypatch.setattr(allen_cahn, "step", recorded)
+    res = run(SolverConfig(build_uniform(8, 0.4), chebyshev_operator(6), eps2=0.16))
+    gc.collect()
+    assert len(fields) == 8
+    assert [ref() is not None for ref in fields] == [False] * 7 + [True]
+    assert fields[-1]() is res.final_state
 
 
 def _large_step_config(op, eps2):
@@ -183,23 +211,39 @@ _ENERGY_SEED1 = [(3, 2)] * 120 + [(4, 2)] * 6 + [(3, 2)] * 2 + [(4, 2)] * 72
 
 @pytest.fixture(scope="module")
 def energy_seed1():
-    grid = random_bounded_grid(200, 0.01, 1)
-    return grid, run(SolverConfig(grid, fourier_operator(32), 0.16, forcing="none"))
+    # the configuration, every level's field and diagnostics from stepping by hand
+    cfg = SolverConfig(random_bounded_grid(200, 0.01, 1), fourier_operator(32), 0.16,
+                       forcing="none")
+    states, diagnostics = [initial_state(cfg)], []
+    for n in range(1, cfg.grid.n_steps + 1):
+        u, diag = step(cfg, states[max(0, n - 3) :], n)
+        states.append(u)
+        diagnostics.append(diag)
+    return cfg, states, diagnostics
+
+
+def test_run_equals_stepping_by_hand(energy_seed1):
+    cfg, states, diagnostics = energy_seed1
+    res = run(cfg)
+    assert np.array_equal(res.final_state, states[-1])
+    assert res.diagnostics == tuple(diagnostics)
+    want = [energy(cfg.operator, states[0], cfg.eps2)] + [d.energy_value for d in diagnostics]
+    assert res.energies.tolist() == want
 
 
 def test_energy_run_keeps_its_per_level_solver_counts(energy_seed1):
-    _, res = energy_seed1
-    assert [d.inner_iterations for d in res.diagnostics] == _ENERGY_SEED1
-    assert [d.newton_iterations for d in res.diagnostics] == [2] * 200
+    _, _, diagnostics = energy_seed1
+    assert [d.inner_iterations for d in diagnostics] == _ENERGY_SEED1
+    assert [d.newton_iterations for d in diagnostics] == [2] * 200
 
 
 def test_energy_run_solves_the_equation_written_with_a_power(energy_seed1):
     # each level restated from public pieces, D3 u^n - eps2*L*u^n + (u^n)**3
     # - u^n = 0, against the solver's residual, which cubes by products; the
     # sin*sin seed has exact zeros
-    grid, res = energy_seed1
+    cfg, u, _ = energy_seed1
+    grid = cfg.grid
     op, eps, weights = fourier_operator(32), np.finfo(float).eps, kernel_weights(grid)
-    u = list(res.states)
     assert np.any(u[0] == 0.0)
     for n in range(1, grid.n_steps + 1):
         w, known = weights[n - 1], u[max(0, n - 3) : n]
@@ -344,7 +388,7 @@ def stability_probe(config: SolverConfig, delta: float) -> float:
 
     run_a = run(config)
     run_b = run(replace(config, initial_data=perturbed))
-    num = l2_norm(op, run_a.states[-1] - run_b.states[-1])
+    num = l2_norm(op, run_a.final_state - run_b.final_state)
     den = l2_norm(op, delta * stability_perturbation(*op.mesh))
     return num / den
 
@@ -365,14 +409,11 @@ def test_run_reports_per_level_diagnostics():
     grid = build_uniform(6, 0.3)
     op = chebyshev_operator(6)
     res = run(SolverConfig(grid, op, eps2=0.36))
-    assert len(res.states) == 7
     assert len(res.diagnostics) == 6
     assert len(res.energies) == 7
     assert [d.level for d in res.diagnostics] == list(range(1, 7))
-    for u in res.states:
-        assert type(u) is np.ndarray and not u.flags.writeable
     # each level's time is the grid's, bit for bit
     assert [d.time for d in res.diagnostics] == list(grid.levels[1:])
     assert grid.levels[-1] == pytest.approx(0.3)
-    norm_err = abs(l2_norm(op, res.states[-1] - exact_solution(*op.mesh, grid.horizon)))
+    norm_err = abs(l2_norm(op, res.final_state - exact_solution(*op.mesh, grid.horizon)))
     assert norm_err == pytest.approx(res.final_error, rel=1e-12)
