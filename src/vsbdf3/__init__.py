@@ -16,6 +16,7 @@ from .allen_cahn import (
     consistency_probe,
     exact_solution,
     forcing,
+    levels,
     run,
     step,
 )

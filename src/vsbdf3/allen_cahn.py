@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
     "default_energy_initial_data",
     "initial_state",
     "step",
+    "levels",
     "run",
     "check_solvability",
     "check_energy_condition",
@@ -141,22 +142,18 @@ class StepDiagnostics:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Final field, per-level diagnostics and traces of one run.
+    """Final field, per-level diagnostics and energies of one run.
 
-    final_state is the read-only field at the grid's level N; errors holds
-    the discrete L2 error against the exact solution per level (manufactured
-    runs only, None otherwise); energies holds the discrete free energy at
-    levels 0..N.
+    final_state is the read-only field at the grid's level N; energies holds
+    the discrete free energy at levels 0..N; final_error is the discrete L2
+    error of final_state against the exact solution (manufactured runs
+    only, None otherwise).
     """
 
     final_state: np.ndarray
     diagnostics: tuple[StepDiagnostics, ...]
     energies: np.ndarray
-    errors: np.ndarray | None = None
-
-    @property
-    def final_error(self) -> float | None:
-        return None if self.errors is None else float(self.errors[-1])
+    final_error: float | None = None
 
 
 def exact_solution(x, y, t):
@@ -233,7 +230,7 @@ def step(config: SolverConfig, history, n: int) -> tuple[np.ndarray, StepDiagnos
         level=n,
         time=t_n,
         b0=b0,
-        tau=grid.step(n),
+        tau=grid.steps[n - 1],
         final_residual=res_norm,
         energy_value=energy(op, u, eps2),
         inner_iterations=tuple(inner),
@@ -295,29 +292,26 @@ def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.nd
     return solve(y @ V[:k]), k
 
 
-def run(config: SolverConfig) -> RunResult:
-    """Integrate over the whole grid, keeping only the three fields step reads."""
-    op = config.operator
-    state = initial_state(config)
-    history, energies = [], [energy(op, state, config.eps2)]
-    diagnostics = []
-    manufactured = config.forcing == "manufactured" and config.initial_data is None
-    errors = [0.0] if manufactured else None
-    if manufactured:
-        X, Y = op.mesh
+def levels(config: SolverConfig) -> Iterator[tuple[np.ndarray, StepDiagnostics]]:
+    """Yield each level's field and diagnostics, 1..N, holding the three fields step reads."""
+    history = [initial_state(config)]
     for n in range(1, config.grid.n_steps + 1):
-        history = [*history[-2:], state]
-        state, diag = step(config, history, n)
+        u, diag = step(config, history, n)
+        history = [*history[-2:], u]
+        yield u, diag
+
+
+def run(config: SolverConfig) -> RunResult:
+    """Integrate over the whole grid; a caller that wants every field iterates levels."""
+    op, state = config.operator, initial_state(config)
+    diagnostics, energies = [], [energy(op, state, config.eps2)]
+    for state, diag in levels(config):
         diagnostics.append(diag)
         energies.append(diag.energy_value)
-        if manufactured:
-            errors.append(l2_norm(op, state - exact_solution(X, Y, diag.time)))
-    return RunResult(
-        final_state=state,
-        diagnostics=tuple(diagnostics),
-        energies=np.asarray(energies),
-        errors=None if errors is None else np.asarray(errors),
-    )
+    error = None
+    if config.forcing == "manufactured" and config.initial_data is None:
+        error = l2_norm(op, state - exact_solution(*op.mesh, float(config.grid.levels[-1])))
+    return RunResult(state, tuple(diagnostics), np.asarray(energies), error)
 
 
 def check_solvability(b0: float) -> bool:

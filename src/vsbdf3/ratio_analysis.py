@@ -56,6 +56,8 @@ LAMBDA_MAX = 3.99
 MAX_CERTIFIED_RATIO = DEFAULT_RATIO_THRESHOLD
 # Envelope constants at which sweep_lemma_bounds evaluates the transfer factor.
 SWEEP_KAPPAS = (KAPPA_MIN, 0.5, 1.0, KAPPA_MAX)
+# Most sweep points per axis; a sweep takes about 150 bytes per box point.
+SWEEP_MAX_POINTS = 2000
 
 
 @dataclass(frozen=True)
@@ -271,8 +273,10 @@ PIVOT_SCALED_TOL = 1e-9
 
 def sweep_lemma_bounds(resolution: float = 0.005) -> LemmaSweepResult:
     """Evaluate the certificates on a grid of the box at the given spacing."""
-    if not (0.0 < resolution <= MAX_CERTIFIED_RATIO):
-        raise ValueError(f"resolution must lie in (0, {MAX_CERTIFIED_RATIO}]")
+    finest = MAX_CERTIFIED_RATIO / SWEEP_MAX_POINTS
+    if not (finest <= resolution <= MAX_CERTIFIED_RATIO):
+        raise ValueError(f"resolution must lie in [{finest:g}, {MAX_CERTIFIED_RATIO}], at most "
+                         f"{SWEEP_MAX_POINTS} points per axis (about 0.6 GB); got {resolution!r}")
     n = round(MAX_CERTIFIED_RATIO / resolution)
     axis = np.linspace(0.0, MAX_CERTIFIED_RATIO, n + 1)
     x, y = np.meshgrid(axis, axis, indexing="ij")

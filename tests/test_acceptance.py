@@ -19,7 +19,7 @@ from vsbdf3.allen_cahn import (
     consistency_probe,
     default_energy_initial_data,
     initial_state,
-    step,
+    levels,
 )
 from vsbdf3.bdf_kernels import apply_D3, assemble_B, doc_kernels, kernel_weights
 from vsbdf3.cli import run_convergence
@@ -193,20 +193,19 @@ def test_criterion_08_energy_dissipation(capsys):
     grid = random_bounded_grid(200, 0.01, seed=8)
     cfg = SolverConfig(grid, op, eps2=0.16, forcing="none",
                        initial_data=default_energy_initial_data)
-    # stepped by hand so that the bound is checked on every level's field
-    states = [initial_state(cfg)]
-    energies = [energy(op, states[0], 0.16)]
-    for n in range(1, grid.n_steps + 1):
-        u, diag = step(cfg, states[max(0, n - 3) :], n)
-        states.append(u)
-        energies.append(diag.energy_value)
-    e0 = energies[0]
-    excess = float(np.max(np.asarray(energies) - e0))
+    u0 = initial_state(cfg)
+    e0 = energy(op, u0, 0.16)
     bound = math.sqrt(4.0 * e0 / 0.16 + (2.0 + 0.16) * op.domain_area) + 1e-8
-    worst_state = 0.0
-    for u in states:
+
+    def norms(u):
         grad = math.sqrt(float(op.w @ ((op.Gx @ u) ** 2 + (op.Gy @ u) ** 2)))
-        worst_state = max(worst_state, l2_norm(op, u) + grad)
+        return l2_norm(op, u) + grad
+
+    # the bound is checked on each level's field as levels yields it
+    excess, worst_state = 0.0, norms(u0)
+    for u, diag in levels(cfg):
+        excess = max(excess, diag.energy_value - e0)
+        worst_state = max(worst_state, norms(u))
     ok = excess <= 1e-10 and worst_state <= bound
     _report(capsys, 8, "energy dissipation", ok,
             f"200 random-ratio steps, max energy excess {excess:.3e}, "

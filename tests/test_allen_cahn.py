@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import warnings
 import weakref
@@ -22,6 +23,7 @@ from vsbdf3.allen_cahn import (
     exact_time_derivative,
     forcing,
     initial_state,
+    levels,
     run,
     step,
 )
@@ -142,6 +144,26 @@ def test_run_keeps_only_the_final_field(monkeypatch):
     assert fields[-1]() is res.final_state
 
 
+def test_a_consumer_that_stops_early_holds_only_the_window(monkeypatch):
+    # after 5 of 8 levels the suspended generator keeps levels 3..5, the ones
+    # step reads next, and the fields of levels 1 and 2 are gone
+    fields = []
+
+    def recorded(config, history, n):
+        u, diag = step(config, history, n)
+        fields.append(weakref.ref(u))
+        return u, diag
+
+    monkeypatch.setattr(allen_cahn, "step", recorded)
+    it = levels(SolverConfig(build_uniform(8, 0.4), chebyshev_operator(6), eps2=0.16))
+    assert [diag.level for _, diag in itertools.islice(it, 5)] == [1, 2, 3, 4, 5]
+    gc.collect()
+    assert [ref() is not None for ref in fields] == [False, False, True, True, True]
+    it.close()
+    gc.collect()
+    assert [ref() for ref in fields] == [None] * 5
+
+
 def _large_step_config(op, eps2):
     # tau = 1.8 puts b0 - 1 below zero at levels 1-2 and near zero at 3-4,
     # so the Newton matrix is indefinite or close to singular there
@@ -211,24 +233,30 @@ _ENERGY_SEED1 = [(3, 2)] * 120 + [(4, 2)] * 6 + [(3, 2)] * 2 + [(4, 2)] * 72
 
 @pytest.fixture(scope="module")
 def energy_seed1():
-    # the configuration, every level's field and diagnostics from stepping by hand
+    # the configuration, and every level's field and diagnostics as levels yields them
     cfg = SolverConfig(random_bounded_grid(200, 0.01, 1), fourier_operator(32), 0.16,
                        forcing="none")
-    states, diagnostics = [initial_state(cfg)], []
-    for n in range(1, cfg.grid.n_steps + 1):
-        u, diag = step(cfg, states[max(0, n - 3) :], n)
-        states.append(u)
-        diagnostics.append(diag)
-    return cfg, states, diagnostics
+    fields, diagnostics = zip(*levels(cfg))
+    return cfg, [initial_state(cfg), *fields], list(diagnostics)
 
 
 def test_run_equals_stepping_by_hand(energy_seed1):
+    # the oracle calls step directly; levels and run must equal it bit for bit
     cfg, states, diagnostics = energy_seed1
+    hand, hand_diagnostics = [initial_state(cfg)], []
+    for n in range(1, cfg.grid.n_steps + 1):
+        u, diag = step(cfg, hand[max(0, n - 3) :], n)
+        hand.append(u)
+        hand_diagnostics.append(diag)
+    hand_energies = [energy(cfg.operator, hand[0], cfg.eps2)]
+    hand_energies += [d.energy_value for d in hand_diagnostics]
+    assert all(np.array_equal(a, b) for a, b in zip(states, hand, strict=True))
+    assert diagnostics == hand_diagnostics
     res = run(cfg)
-    assert np.array_equal(res.final_state, states[-1])
-    assert res.diagnostics == tuple(diagnostics)
-    want = [energy(cfg.operator, states[0], cfg.eps2)] + [d.energy_value for d in diagnostics]
-    assert res.energies.tolist() == want
+    assert np.array_equal(res.final_state, hand[-1])
+    assert res.diagnostics == tuple(hand_diagnostics)
+    assert res.energies.tolist() == hand_energies
+    assert res.final_error is None
 
 
 def test_energy_run_keeps_its_per_level_solver_counts(energy_seed1):
@@ -296,8 +324,7 @@ def test_newton_meets_tolerance_every_level():
     for d in res.diagnostics:
         assert d.final_residual <= 1e-10
         assert d.newton_iterations <= 8
-    assert res.errors is not None
-    assert res.errors[0] == 0.0
+    assert res.final_error is not None
     assert res.final_error < 1e-2
 
 
@@ -317,7 +344,7 @@ def test_energy_mode_monotone_on_bounded_grid():
     cfg = SolverConfig(grid, op, eps2=0.16, forcing="none",
                        initial_data=default_energy_initial_data)
     res = run(cfg)
-    assert res.errors is None
+    assert res.final_error is None
     e0 = res.energies[0]
     assert max(res.energies) <= e0 + 1e-10
     # the diagnostics record the weight and step the level solved with

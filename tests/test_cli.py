@@ -320,6 +320,14 @@ def test_validate_lemmas_quick_resolution():
     assert main(["--quiet", "validate-lemmas", "--resolution", "0.05"]) == 0
 
 
+def test_validate_lemmas_refuses_a_resolution_finer_than_its_point_bound(capsys):
+    # 1e-6 would ask for 1.4e6 points per axis, about 3e14 bytes
+    assert main(["--quiet", "validate-lemmas", "--resolution", "1e-6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: resolution must lie in [0.0007025, 1.405], at most 2000 ")
+    assert err.count("\n") == 1
+
+
 def test_validate_lemmas_stdout_is_pinned(capsys):
     assert main(["validate-lemmas"]) == 0
     assert capsys.readouterr().out == (
