@@ -24,7 +24,6 @@ from .bdf_kernels import (
     KernelMatrices,
     apply_D3,
     assemble_B,
-    doc_kernels,
     kernel_weights,
 )
 from .ratio_analysis import (

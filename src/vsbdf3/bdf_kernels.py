@@ -11,14 +11,15 @@ at tau_n = 1 one level at a time, with the same bits, for both its traces.
 apply_D3 is the one place the backward-difference sum is written; the
 N x N matrices exist for analysis and diagnostics.
 
-The inverse kernels (rows of D = B^{-1}) are computed by the backward
-recursion that defines them, one column at a time, exploiting that B has
-lower bandwidth 3.  Total cost is O(N^2); matrix inversion is reserved for
-test oracles.
+The inverse kernels (rows of D = B^{-1}) are computed one row at a time
+by the backward recursion that defines them, reading the weight table
+directly, since B has lower bandwidth 3.  Total cost is O(N^2) and the
+memory is one row; matrix inversion is reserved for test oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,23 +33,21 @@ __all__ = [
     "ratio_weights",
     "kernel_weights",
     "assemble_B",
-    "doc_kernels",
+    "inverse_kernel_rows",
     "apply_D3",
 ]
 
 
 @dataclass(frozen=True)
 class KernelMatrices:
-    """Kernel matrix B, its step-scaled symmetrization A, and optionally D = B^{-1}.
+    """Kernel matrix B and its step-scaled symmetrization A, read-only.
 
     B is lower triangular with bandwidth 3, and A = Lambda^{1/2} B
-    Lambda^{1/2} with Lambda = diag(tau).  D is None until the inverse
-    kernels are requested.  Arrays are read-only.
+    Lambda^{1/2} with Lambda = diag(tau).
     """
 
     B: np.ndarray
     A: np.ndarray
-    D: np.ndarray | None = None
 
 
 def bdf2_weights(tau2, r2):
@@ -133,27 +132,28 @@ def assemble_B(grid: TimeGrid) -> KernelMatrices:
     return KernelMatrices(B=_ro(B), A=_ro(A))
 
 
-def doc_kernels(grid: TimeGrid) -> KernelMatrices:
-    """Kernel matrices with D filled in by the inverse-kernel recursion.
+def inverse_kernel_rows(weights):
+    """Rows of D = B^{-1} from the kernel_weights table, one list of floats per level.
 
-    Row n of D satisfies d_0^(n) = 1/b0^(n) and, for k < n,
-        d_{n-k}^(n) = -(1/b0^(k)) * sum_{j>k} d_{n-j}^(n) b_{j-k}^(j),
-    where only j = k+1 and j = k+2 contribute (bandwidth 3).  The recursion
-    is evaluated one column at a time so every row advances with vector ops.
+    Row n holds D[n, k] = d_{n-k}^(n), k = 1..n: D[n, n] = 1/b0^(n) and, for k < n,
+        D[n, k] = -(D[n, k+1] b1^(k+1) + D[n, k+2] b2^(k+2)) / b0^(k),
+    without the second term at k = n - 1.  Columns run from the diagonal
+    back to 1 on Python floats, so that only one row is held.  A row with a
+    non-finite entry raises ValueError naming its level and first such entry.
     """
-    km = assemble_B(grid)
-    n = grid.n_steps
-    b0, b1, b2 = km.B.diagonal(), km.B.diagonal(-1), km.B.diagonal(-2)
-    D = np.zeros((n, n))
-    idx = np.arange(n)
-    D[idx, idx] = 1.0 / b0
-    # column j (0-based) holds d_{n-k}^(n) for k = j+1; rows i = j+1..n-1
-    for j in range(n - 2, -1, -1):
-        acc = D[j + 1 :, j + 1] * b1[j]
-        if j + 2 < n:
-            acc[1:] += D[j + 2 :, j + 2] * b2[j]
-        D[j + 1 :, j] = -acc / b0[j]
-    return KernelMatrices(B=km.B, A=km.A, D=_ro(D))
+    b0, b1, b2 = (list(col) for col in zip(*np.asarray(weights).tolist()))
+    for i in range(len(b0)):
+        d = [0.0] * (i + 1)
+        d[i] = 1.0 / b0[i]
+        if i:
+            d[i - 1] = -(d[i] * b1[i]) / b0[i - 1]
+        for j in range(i - 2, -1, -1):
+            d[j] = -(d[j + 1] * b1[j + 1] + d[j + 2] * b2[j + 2]) / b0[j]
+        if not all(map(math.isfinite, d)):
+            j = next(j for j, v in enumerate(d) if not math.isfinite(v))
+            raise ValueError(f"level {i + 1}: the kernel weights give a non-finite "
+                             f"inverse kernel D[{i + 1},{j + 1}] = {d[j]!r}")
+        yield d
 
 
 def apply_D3(weights, history) -> float | np.ndarray:

@@ -28,7 +28,7 @@ from .allen_cahn import (
     consistency_probe,
     run,
 )
-from .bdf_kernels import doc_kernels
+from .bdf_kernels import inverse_kernel_rows, kernel_weights
 from .ratio_analysis import (
     SWEEP_KAPPAS,
     certify_positive_definite,
@@ -270,17 +270,29 @@ def cmd_kernels(args) -> int:
     if grid.n_steps > _KERNELS_MAX_STEPS:
         raise ValueError(f"kernels needs a grid of at most {_KERNELS_MAX_STEPS} steps, "
                          f"got {grid.n_steps}")
-    km = doc_kernels(grid)
+    b = kernel_weights(grid).tolist()
+    root = [math.sqrt(t) for t in grid.steps]
     out = Path(args.out)
+    made = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    for name, mat, banded in (("B", km.B, True), ("A", km.A, True), ("D", km.D, False)):
-        lines = ["row,col,value"]
-        n = mat.shape[0]
-        for i in range(n):
-            lo = max(0, i - 2) if banded else 0
-            for j in range(lo, i + 1):
-                lines.append(f"{i + 1},{j + 1},{float(mat[i, j])!r}")
-        (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    paths = [out / f"{name}.csv" for name in "BAD"]
+    try:
+        with open(paths[0], "w") as fb, open(paths[1], "w") as fa, open(paths[2], "w") as fd:
+            for f in (fb, fa, fd):
+                f.write("row,col,value\n")
+            for i, d in enumerate(inverse_kernel_rows(b), start=1):
+                # b_{i, i-j} for the banded columns j = i-2..i
+                band = [(j, b[i - 1][i - j]) for j in range(max(1, i - 2), i + 1)]
+                fb.writelines(f"{i},{j},{v!r}\n" for j, v in band)
+                fa.writelines(f"{i},{j},{root[i - 1] * v * root[j - 1]!r}\n" for j, v in band)
+                fd.writelines(f"{i},{j},{v!r}\n" for j, v in enumerate(d, start=1))
+    except ValueError:
+        # a non-finite inverse kernel: leave no partial dump behind
+        for path in paths:
+            path.unlink()
+        for path in made:
+            path.rmdir()
+        raise
     _say(args, f"wrote B.csv, A.csv, D.csv to {out}")
     return 0
 
@@ -308,8 +320,8 @@ def cmd_consistency(args) -> int:
     return 0
 
 
-# Largest grid kernels dumps: its dense N x N matrices and CSV text take
-# about 90 bytes per N^2 entry, 0.8 GiB at 3,000 steps.
+# Largest grid kernels dumps: its output grows as N^2, about 105 MB of CSV
+# at 3,000 steps; rows are written as they are computed.
 _KERNELS_MAX_STEPS = 3000
 
 

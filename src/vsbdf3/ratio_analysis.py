@@ -56,7 +56,7 @@ LAMBDA_MAX = 3.99
 MAX_CERTIFIED_RATIO = DEFAULT_RATIO_THRESHOLD
 # Envelope constants at which sweep_lemma_bounds evaluates the transfer factor.
 SWEEP_KAPPAS = (KAPPA_MIN, 0.5, 1.0, KAPPA_MAX)
-# Most sweep points per axis; a sweep takes about 150 bytes per box point.
+# Most sweep points per axis; it bounds the sweep's time, about 0.5 us per box point.
 SWEEP_MAX_POINTS = 2000
 
 
@@ -272,31 +272,21 @@ PIVOT_SCALED_TOL = 1e-9
 
 
 def sweep_lemma_bounds(resolution: float = 0.005) -> LemmaSweepResult:
-    """Evaluate the certificates on a grid of the box at the given spacing."""
+    """Evaluate the certificates on a grid of the box at the given spacing, a block at a time."""
     finest = MAX_CERTIFIED_RATIO / SWEEP_MAX_POINTS
     if not (finest <= resolution <= MAX_CERTIFIED_RATIO):
         raise ValueError(f"resolution must lie in [{finest:g}, {MAX_CERTIFIED_RATIO}], at most "
-                         f"{SWEEP_MAX_POINTS} points per axis (about 0.6 GB); got {resolution!r}")
+                         f"{SWEEP_MAX_POINTS} points per axis (about 2 s); got {resolution!r}")
     n = round(MAX_CERTIFIED_RATIO / resolution)
     axis = np.linspace(0.0, MAX_CERTIFIED_RATIO, n + 1)
-    x, y = np.meshgrid(axis, axis, indexing="ij")
-
-    t_min, t_max = math.inf, -math.inf
-    for kappa in SWEEP_KAPPAS:
-        t = envelope_transfer_factor(x, y, kappa)
-        t_min, t_max = min(t_min, float(t.min())), max(t_max, float(t.max()))
-
-    s = subdiagonal_certificate(x, y)
-    lo = pivot_lower_certificate(x, y)
-    hi = pivot_upper_certificate(x, y)
-    lo_scale, hi_scale = pivot_certificate_scales(x, y)
-
-    lo_scaled_min = float((lo / lo_scale).min())
-    hi_scaled_max = float((hi / hi_scale).max())
+    extremes = np.array([_block_extremes(axis[i:i + _SWEEP_BLOCK_ROWS], axis)
+                         for i in range(0, axis.size, _SWEEP_BLOCK_ROWS)])
+    t_min, s_min, lo_min, hi_min, lo_scaled_min = extremes[:, 0::2].min(axis=0).tolist()
+    t_max, s_max, lo_max, hi_max, hi_scaled_max = extremes[:, 1::2].max(axis=0).tolist()
     passed = (
         t_min >= 1.0 - TRANSFER_TOL
         and t_max <= 2.7 + TRANSFER_TOL
-        and float(s.max()) <= SUBDIAG_TOL
+        and s_max <= SUBDIAG_TOL
         and lo_scaled_min >= -PIVOT_SCALED_TOL
         and hi_scaled_max <= PIVOT_SCALED_TOL
     )
@@ -304,13 +294,32 @@ def sweep_lemma_bounds(resolution: float = 0.005) -> LemmaSweepResult:
         resolution=resolution,
         transfer_min=t_min,
         transfer_max=t_max,
-        subdiag_min=float(s.min()),
-        subdiag_max=float(s.max()),
-        pivot_lower_min=float(lo.min()),
-        pivot_lower_max=float(lo.max()),
-        pivot_upper_min=float(hi.min()),
-        pivot_upper_max=float(hi.max()),
+        subdiag_min=s_min,
+        subdiag_max=s_max,
+        pivot_lower_min=lo_min,
+        pivot_lower_max=lo_max,
+        pivot_upper_min=hi_min,
+        pivot_upper_max=hi_max,
         pivot_lower_scaled_min=lo_scaled_min,
         pivot_upper_scaled_max=hi_scaled_max,
         passed=passed,
     )
+
+
+# Rows of x per sweep block (about 20 MB at 2,000 points per axis); only
+# each block's extremes are kept, and min and max are exact.
+_SWEEP_BLOCK_ROWS = 64
+
+
+def _block_extremes(xs, axis) -> tuple[float, ...]:
+    """(min, max) pairs over the rows xs of the box: transfer factor, the three
+    certificates, and the scaled pivot certificates (lower min, upper max)."""
+    x, y = np.meshgrid(xs, axis, indexing="ij")
+    t = [envelope_transfer_factor(x, y, kappa) for kappa in SWEEP_KAPPAS]
+    s = subdiagonal_certificate(x, y)
+    lo = pivot_lower_certificate(x, y)
+    hi = pivot_upper_certificate(x, y)
+    lo_scale, hi_scale = pivot_certificate_scales(x, y)
+    return (min(v.min() for v in t), max(v.max() for v in t), s.min(), s.max(),
+            lo.min(), lo.max(), hi.min(), hi.max(),
+            (lo / lo_scale).min(), (hi / hi_scale).max())

@@ -9,6 +9,7 @@ steps never underflow.
 
 import numpy as np
 
+from vsbdf3.bdf_kernels import inverse_kernel_rows, kernel_weights
 from vsbdf3.time_grid import TimeGrid, build_from_ratios, build_from_steps
 
 
@@ -33,3 +34,12 @@ def wild_grid(rng: np.random.Generator, n: int, cap: float = 44.0,
         r = sig[1:] / sig[:-1]
         if n == 1 or (r.max() <= cap and r.min() >= 1.0 / cap):
             return build_from_steps(sig * (horizon / sig.sum()))
+
+
+def inverse_kernel_matrix(grid: TimeGrid) -> np.ndarray:
+    """D = B^{-1} as a dense N x N array, filled from the shipped rows."""
+    n = grid.n_steps
+    D = np.zeros((n, n))
+    for i, row in enumerate(inverse_kernel_rows(kernel_weights(grid))):
+        D[i, : i + 1] = row
+    return D

@@ -1,0 +1,34 @@
+"""Dense N x N oracle for the inverse kernels.
+
+doc_kernels fills D = B^{-1} column by column with vector operations over
+all rows at once, the loop order the package used before it streamed one
+row at a time.  The tests check the shipped row generator against it bit
+for bit, and use it where a check over many large grids would be slow.
+"""
+
+import numpy as np
+
+from vsbdf3.bdf_kernels import assemble_B
+
+
+def doc_kernels(grid) -> np.ndarray:
+    """D = B^{-1} by the inverse-kernel recursion, as a read-only N x N array.
+
+    Row n of D satisfies d_0^(n) = 1/b0^(n) and, for k < n,
+        d_{n-k}^(n) = -(1/b0^(k)) * sum_{j>k} d_{n-j}^(n) b_{j-k}^(j),
+    where only j = k+1 and j = k+2 contribute (bandwidth 3).
+    """
+    B = assemble_B(grid).B
+    n = grid.n_steps
+    b0, b1, b2 = B.diagonal(), B.diagonal(-1), B.diagonal(-2)
+    D = np.zeros((n, n))
+    idx = np.arange(n)
+    D[idx, idx] = 1.0 / b0
+    # column j (0-based) holds d_{n-k}^(n) for k = j+1; rows i = j+1..n-1
+    for j in range(n - 2, -1, -1):
+        acc = D[j + 1 :, j + 1] * b1[j]
+        if j + 2 < n:
+            acc[1:] += D[j + 2 :, j + 2] * b2[j]
+        D[j + 1 :, j] = -acc / b0[j]
+    D.flags.writeable = False
+    return D

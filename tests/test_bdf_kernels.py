@@ -3,13 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import certified_grid, make_rng, wild_grid
+from conftest import certified_grid, inverse_kernel_matrix, make_rng, wild_grid
 from vsbdf3.bdf_kernels import (
     apply_D3,
     assemble_B,
     bdf2_weights,
     bdf3_weights,
-    doc_kernels,
+    inverse_kernel_rows,
     kernel_weights,
     ratio_weights,
 )
@@ -128,7 +128,7 @@ def test_A_matches_directly_scaled_weights():
 
 def test_doc_kernels_uniform_hand_values():
     g = build_uniform(3, 3.0)
-    D = doc_kernels(g).D
+    D = inverse_kernel_matrix(g)
     assert D[0, 0] == 1.0
     assert D[1, 1] == pytest.approx(2 / 3)
     assert D[1, 0] == pytest.approx(1 / 3)
@@ -138,16 +138,16 @@ def test_doc_matches_matrix_inverse_oracle():
     rng = make_rng(3)
     for _ in range(25):
         g = certified_grid(rng, int(rng.integers(2, 80)))
-        km = doc_kernels(g)
-        inv = np.linalg.inv(km.B)
-        assert np.max(np.abs(km.D - inv)) <= 1e-11 * np.max(np.abs(inv))
-        assert np.max(np.abs(km.D @ km.B - np.eye(g.n_steps))) < 1e-11
+        B, D = assemble_B(g).B, inverse_kernel_matrix(g)
+        inv = np.linalg.inv(B)
+        assert np.max(np.abs(D - inv)) <= 1e-11 * np.max(np.abs(inv))
+        assert np.max(np.abs(D @ B - np.eye(g.n_steps))) < 1e-11
 
 
 def test_doc_is_lower_triangular():
-    g = certified_grid(make_rng(4), 30)
-    D = doc_kernels(g).D
-    assert np.all(D[np.triu_indices(30, 1)] == 0.0)
+    # row n holds the n entries D[n, 1..n]; nothing right of the diagonal
+    rows = list(inverse_kernel_rows(kernel_weights(certified_grid(make_rng(4), 30))))
+    assert [len(row) for row in rows] == list(range(1, 31))
 
 
 def test_doc_quadratic_form_nonnegative():
@@ -156,7 +156,7 @@ def test_doc_quadratic_form_nonnegative():
     for _ in range(100):
         n = int(rng.integers(2, 60))
         g = certified_grid(rng, n)
-        D = doc_kernels(g).D
+        D = inverse_kernel_matrix(g)
         mu = rng.standard_normal(n)
         quad = float(mu @ (D @ mu))
         assert quad >= -1e-12 * float(mu @ mu)

@@ -5,8 +5,17 @@ import warnings
 
 import pytest
 
+from dense_oracles import doc_kernels
+from vsbdf3.bdf_kernels import assemble_B
 from vsbdf3.cli import _Parser, build_parser, main, run_convergence
-from vsbdf3.time_grid import build_from_ratios, build_from_steps, build_uniform, save_grid
+from vsbdf3.time_grid import (
+    build_alternating,
+    build_from_ratios,
+    build_from_steps,
+    build_random,
+    build_uniform,
+    save_grid,
+)
 
 
 def test_parser_knows_all_subcommands():
@@ -321,7 +330,7 @@ def test_validate_lemmas_quick_resolution():
 
 
 def test_validate_lemmas_refuses_a_resolution_finer_than_its_point_bound(capsys):
-    # 1e-6 would ask for 1.4e6 points per axis, about 3e14 bytes
+    # 1e-6 would ask for 1.4e6 points per axis, 2e12 box points
     assert main(["--quiet", "validate-lemmas", "--resolution", "1e-6"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: resolution must lie in [0.0007025, 1.405], at most 2000 ")
@@ -392,9 +401,51 @@ def test_kernels_dump(tmp_path):
     assert float(first[2]) == 1.0  # b0 at level 1 on tau=1
 
 
+def _dense_csv(mat, banded):
+    # the dump of a dense matrix: B and A banded, D its full lower triangle
+    lines = ["row,col,value"]
+    for i in range(mat.shape[0]):
+        for j in range(max(0, i - 2) if banded else 0, i + 1):
+            lines.append(f"{i + 1},{j + 1},{float(mat[i, j])!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("grid", [build_random(40, 1.0, 3), build_alternating(20, 1.0)],
+                         ids=["random40", "alternating20"])
+def test_kernels_dump_bytes_match_the_dense_oracles(tmp_path, grid):
+    outdir = tmp_path / "mats"
+    assert main(["--quiet", "kernels", "--grid", str(save_grid(grid, tmp_path / "g.json")),
+                 "--out", str(outdir)]) == 0
+    km = assemble_B(grid)
+    for name, mat, banded in (("B", km.B, True), ("A", km.A, True),
+                              ("D", doc_kernels(grid), False)):
+        assert (outdir / f"{name}.csv").read_text() == _dense_csv(mat, banded)
+
+
+def test_kernels_refuses_non_finite_inverse_kernels(tmp_path, capsys):
+    # every ratio is 44, inside the wild cap, yet row 112 of D = B^{-1}
+    # overflows to inf - inf; the kernel weights themselves are finite
+    grid_path = save_grid(build_from_steps([1e-150 * 44.0**k for k in range(150)]),
+                          tmp_path / "g.json")
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for outdir in (tmp_path / "new" / "mats", kept):
+            assert main(["--quiet", "kernels", "--grid", str(grid_path),
+                         "--out", str(outdir)]) == 2
+            assert capsys.readouterr().err == (
+                "error: level 112: the kernel weights give a non-finite inverse kernel "
+                "D[112,1] = nan\n")
+    # no partial dump: the directories the command made are gone as well
+    assert not (tmp_path / "new").exists()
+    assert list(kept.iterdir()) == []
+
+
 def test_kernels_refuses_grids_too_large_to_dump(tmp_path, capsys):
-    # the dense N x N matrices and their CSV text take about 90 bytes per
-    # entry; 3,000 steps is the largest grid the command builds
+    # the CSV output grows as N^2, about 105 MB at 3,000 steps, the largest
+    # grid the command dumps
     grid_path = save_grid(build_uniform(3001, 1.0), tmp_path / "big.json")
     outdir = tmp_path / "mats"
     assert main(["--quiet", "kernels", "--grid", str(grid_path), "--out", str(outdir)]) == 2

@@ -205,6 +205,31 @@ def test_quick_lemma_sweep_passes_at_coarse_resolution():
     assert res.pivot_upper_scaled_max <= 1e-9
 
 
+def test_blocked_sweep_equals_a_full_box_evaluation():
+    # 0.01 gives 141 rows of x, three blocks; min and max are exact, so the
+    # blocked extremes equal those of the whole box to the bit
+    res = sweep_lemma_bounds(resolution=0.01)
+    axis = np.linspace(0.0, MAX_CERTIFIED_RATIO, round(MAX_CERTIFIED_RATIO / 0.01) + 1)
+    assert axis.size > 2 * ratio_analysis._SWEEP_BLOCK_ROWS
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    t = np.stack([envelope_transfer_factor(x, y, kappa) for kappa in SWEEP_KAPPAS])
+    s = subdiagonal_certificate(x, y)
+    lo, hi = pivot_lower_certificate(x, y), pivot_upper_certificate(x, y)
+    lo_scale, hi_scale = pivot_certificate_scales(x, y)
+    want = {
+        "transfer_min": t.min(), "transfer_max": t.max(),
+        "subdiag_min": s.min(), "subdiag_max": s.max(),
+        "pivot_lower_min": lo.min(), "pivot_lower_max": lo.max(),
+        "pivot_upper_min": hi.min(), "pivot_upper_max": hi.max(),
+        "pivot_lower_scaled_min": (lo / lo_scale).min(),
+        "pivot_upper_scaled_max": (hi / hi_scale).max(),
+    }
+    for name, value in want.items():
+        got = getattr(res, name)
+        assert type(got) is float and repr(got) == repr(float(value)), name
+    assert res.resolution == 0.01 and res.passed
+
+
 def test_min_symmetric_eigenvalue_known_matrices():
     assert min_symmetric_eigenvalue(np.diag([3.0, -1.0, 2.0])) == pytest.approx(-1.0)
     assert min_symmetric_eigenvalue(np.zeros((4, 4))) == 0.0

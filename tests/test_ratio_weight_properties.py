@@ -4,7 +4,8 @@ Ratio sequences are drawn with N <= 12 levels (N <= 40 for the inverse
 kernels) and ratios in [0.02, 44], the range of the random-step
 convergence grids, plus extreme ratios that overflow the closed forms.
 The references are the closed forms evaluated at each level's (tau_n, r_n,
-r_{n-1}), the dense matrices of assemble_B, the identity D B = I, the
+r_{n-1}), the dense matrices of assemble_B, the column-order oracle of
+the inverse kernels (bit for bit), the identity D B = I, the
 Jacobi eigenvalue oracle, a dense LDL^T, and the scaled table path of the
 shifted trace.
 """
@@ -23,7 +24,8 @@ from vsbdf3.bdf_kernels import (  # noqa: E402
     assemble_B,
     bdf2_weights,
     bdf3_weights,
-    doc_kernels,
+    inverse_kernel_rows,
+    kernel_weights,
     ratio_weights,
 )
 from vsbdf3.ratio_analysis import (  # noqa: E402
@@ -35,6 +37,8 @@ from vsbdf3.ratio_analysis import (  # noqa: E402
 )
 from vsbdf3.time_grid import build_from_ratios, build_from_steps  # noqa: E402
 
+from conftest import inverse_kernel_matrix  # noqa: E402
+from dense_oracles import doc_kernels  # noqa: E402
 from eigen_oracles import min_symmetric_eigenvalue  # noqa: E402
 
 # half the sequences keep every ratio inside the certified bound 1.405, so
@@ -116,10 +120,23 @@ def test_shifted_diagonal_at_every_level(ratios):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.floats(min_value=0.02, max_value=44.0), max_size=39))
 def test_inverse_kernels_invert_the_kernel_matrix(ratios):
-    km = doc_kernels(build_from_ratios(ratios, 1.0))
-    D, B = km.D, km.B
+    g = build_from_ratios(ratios, 1.0)
+    D, B = inverse_kernel_matrix(g), assemble_B(g).B
     scale = max(1.0, float(np.max(np.abs(D) @ np.abs(B))))
     assert np.max(np.abs(D @ B - np.eye(len(B)))) <= 1e-13 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(ratio_lists)
+def test_inverse_kernel_rows_equal_the_dense_oracle_bit_for_bit(ratios):
+    g = build_from_ratios(ratios, 1.0)
+    D = doc_kernels(g)
+    rows = list(inverse_kernel_rows(kernel_weights(g)))
+    assert len(rows) == g.n_steps
+    for i, row in enumerate(rows):
+        # tobytes tells -0.0 from 0.0, and the oracle's upper triangle is zero
+        assert np.array(row).tobytes() == D[i, : i + 1].tobytes()
+        assert not D[i, i + 1 :].any()
 
 
 @settings(max_examples=150, deadline=None)
