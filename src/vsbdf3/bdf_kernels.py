@@ -1,12 +1,13 @@
 """Variable-step backward-differentiation kernels and their matrix forms.
 
-Level n uses the one-step kernel for n = 1, the two-step kernel for n = 2
-and the three-step kernel from n = 3 on.  Weights depend only on the local
-data (tau_n, r_n, r_{n-1}), and only through b_k = beta_k / tau_n.  One
-table of ratio parts beta_k (ratio_weights, one array call into each closed
-form) gives the kernel weights b_k of every level (kernel_weights, which
-time stepping reads once per grid), the kernel matrix B and the step-scaled
-A = Lambda^{1/2} B Lambda^{1/2}; ratio_analysis reads the same closed forms
+Level 1 uses the one-step kernel and every later level the three-step
+closed form, which at r_1 = 0 (no step before level 1) is level 2's
+two-step kernel.  Weights depend only on the local data (tau_n, r_n,
+r_{n-1}), and only through b_k = beta_k / tau_n.  One table of ratio parts
+beta_k (ratio_weights, one array call into the closed form) gives the
+kernel weights b_k of every level (kernel_weights, which time stepping
+reads once per grid), the kernel matrix B and the step-scaled A =
+Lambda^{1/2} B Lambda^{1/2}; ratio_analysis reads the same closed form
 at tau_n = 1 one level at a time, with the same bits, for both its traces.
 apply_D3 is the one place the backward-difference sum is written; the
 N x N matrices exist for analysis and diagnostics.
@@ -28,7 +29,6 @@ from .time_grid import TimeGrid, _ro
 
 __all__ = [
     "KernelMatrices",
-    "bdf2_weights",
     "bdf3_weights",
     "ratio_weights",
     "kernel_weights",
@@ -50,17 +50,11 @@ class KernelMatrices:
     A: np.ndarray
 
 
-def bdf2_weights(tau2, r2):
-    """Two-step weights (b0, b1); tau2 and r2 may be scalars or arrays."""
-    den = tau2 * (1.0 + r2)
-    return (1.0 + 2.0 * r2) / den, -(r2 * r2) / den
-
-
 def bdf3_weights(tau_n, r_n, r_nm1):
     """Three-step weights (b0, b1, b2) from the step and the two trailing ratios.
 
     The arguments may be scalars or arrays of one shape; products, not powers,
-    keep their bits equal.
+    keep their bits equal.  At r_nm1 = 0 they are the two-step weights.
     """
     den = tau_n * (1.0 + r_n) * (1.0 + r_nm1) * (1.0 + r_nm1 + r_n * r_nm1)
     rr, mix = r_n * r_n, 1.0 + 2.0 * r_nm1 + r_n * r_nm1
@@ -76,14 +70,13 @@ def ratio_weights(ratios) -> np.ndarray:
     ratios holds r_2..r_N (length N-1).  Row n-1 of the N x 3 result is
     (beta_0, beta_1, beta_2) of level n, that is, the level's weights at
     tau_n = 1; weights a level's kernel lacks are exact zeros.  Ratios that
-    overflow the closed forms raise ValueError at the first level hit.
+    overflow the closed form raise ValueError at the first level hit.
     """
     r = np.asarray(ratios, dtype=float)
     beta = np.zeros((r.size + 1, 3))
     beta[0, 0] = 1.0
     with np.errstate(all="ignore"):
-        beta[1:2, :2] = np.column_stack(bdf2_weights(1.0, r[:1]))
-        beta[2:] = np.column_stack(bdf3_weights(1.0, r[1:], r[:-1]))
+        beta[1:] = np.column_stack(bdf3_weights(1.0, r, np.concatenate(([0.0], r))[:-1]))
     return _require_finite(beta, "beta_0, beta_1, beta_2",
                            lambda n: f"step ratio r_{n} = {float(r[n - 2])!r}")
 

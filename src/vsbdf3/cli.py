@@ -101,20 +101,13 @@ def run_convergence(case, eps2_list, n_list, m, seed=None):
         raise ValueError("case 2 needs a seed")
     operator = chebyshev_operator(m)
     grids = {n: _case_grid(case, n, seed) for n in n_list}
-    errors = {(eps2, n): run(SolverConfig(grid=grids[n], operator=operator,
-                                          eps2=eps2)).final_error
-              for eps2 in eps2_list for n in n_list}
-
     reports = []
     for eps2 in eps2_list:
-        rows = []
-        prev = None
-        for n in n_list:
-            err = errors[(eps2, n)]
-            rate = None
-            if prev is not None:
-                rate = math.log(prev[1] / err) / math.log(n / prev[0])
-            ratios = grids[n].ratios
+        rows, prev = [], None
+        for n, grid in grids.items():
+            err = run(SolverConfig(grid=grid, operator=operator, eps2=eps2)).final_error
+            rate = None if prev is None else math.log(prev[1] / err) / math.log(n / prev[0])
+            ratios = grid.ratios
             rows.append(ConvergenceRow(n, err, rate,
                                        max(ratios, default=None), min(ratios, default=None)))
             prev = (n, err)
@@ -123,31 +116,18 @@ def run_convergence(case, eps2_list, n_list, m, seed=None):
     return tuple(reports)
 
 
-def _fmt_error(x: float) -> str:
-    return f"{x:.4e}"
-
-
-def _fmt_rate(x: float | None) -> str:
-    return "" if x is None else f"{x:.4f}"
-
-
-def _fmt_ratio(x: float | None) -> str:
-    return "" if x is None else f"{x:.6g}"
+def _cells(row: ConvergenceRow) -> list[str]:
+    """A row's five printed cells N, error, rate, max_r, min_r ("" where absent)."""
+    optional = ((row.rate, ".4f"), (row.max_ratio, ".6g"), (row.min_ratio, ".6g"))
+    return [str(row.n), f"{row.error:.4e}",
+            *("" if x is None else format(x, spec) for x, spec in optional)]
 
 
 def emit(report: ConvergenceReport, fmt: str, path) -> Path:
     """Write a report as CSV or JSON; both carry identical rounded numbers."""
     path = Path(path)
     if fmt == "csv":
-        lines = ["N,error,rate,max_r,min_r"]
-        for row in report.rows:
-            lines.append(",".join([
-                str(row.n),
-                _fmt_error(row.error),
-                _fmt_rate(row.rate),
-                _fmt_ratio(row.max_ratio),
-                _fmt_ratio(row.min_ratio),
-            ]))
+        lines = ["N,error,rate,max_r,min_r", *(",".join(_cells(row)) for row in report.rows)]
         path.write_text("\n".join(lines) + "\n")
         return path
     if fmt == "json":
@@ -160,13 +140,8 @@ def emit(report: ConvergenceReport, fmt: str, path) -> Path:
                 "newton_tol": NEWTON_TOL,
             },
             "rows": [
-                {
-                    "N": row.n,
-                    "error": float(_fmt_error(row.error)),
-                    "rate": None if row.rate is None else float(_fmt_rate(row.rate)),
-                    "max_r": None if row.max_ratio is None else float(_fmt_ratio(row.max_ratio)),
-                    "min_r": None if row.min_ratio is None else float(_fmt_ratio(row.min_ratio)),
-                }
+                {"N": row.n, **{key: float(cell) if cell else None for key, cell
+                                in zip(("error", "rate", "max_r", "min_r"), _cells(row)[1:])}}
                 for row in report.rows
             ],
         }
@@ -188,9 +163,8 @@ def cmd_convergence(args) -> int:
     reports = run_convergence(args.case, args.eps2, args.n, args.m, seed=args.seed)
     for report in reports:
         _say(args, f"case {report.case}  eps2={report.eps2:g}  M={report.m}")
-        for row in report.rows:
-            _say(args, f"  N={row.n:<5d} error={_fmt_error(row.error)}"
-                       f" rate={_fmt_rate(row.rate) or '-'}")
+        for n, error, rate, *_ in map(_cells, report.rows):
+            _say(args, f"  N={n:<5} error={error} rate={rate or '-'}")
         if args.out is not None:
             path = Path(args.out)
             if len(reports) > 1:

@@ -18,7 +18,7 @@ from operator import truediv
 
 import numpy as np
 
-from .bdf_kernels import _non_finite, bdf2_weights, bdf3_weights
+from .bdf_kernels import _non_finite, bdf3_weights
 from .time_grid import DEFAULT_RATIO_THRESHOLD, TimeGrid, _checked_ratios
 
 __all__ = [
@@ -87,20 +87,18 @@ def _scaled_rows(ratios, shift, steps=None):
     """Rows (2*a0 - shift, a1, a2, unit, coupling unit) of A + A^T - shift*I.
 
     a0 = beta_0, a1 = beta_1 / sqrt(r_n), a2 = beta_2 / sqrt(r_n r_{n-1}),
-    beta_k the closed-form weights at tau_n = 1; the units bring a pivot and
-    coupling back to B's scale: tau_n and tau_n / sqrt(r_n) given the steps,
-    else ones.  A level whose beta_k or entries are not finite (a 0/0 from
-    ratios that underflowed to zero), or whose unscaled diagonal (2*beta_0 -
-    shift) / tau_n overflows, raises ValueError.
+    beta_k the weights at tau_n = 1: (1, 0, 0), then bdf3_weights with r_1 = 0.
+    The units bring a pivot and coupling back to B's scale: tau_n and
+    tau_n / sqrt(r_n) given the steps, else ones.  A level whose beta_k or
+    entries are not finite (a 0/0 from ratios that underflowed to zero), or
+    whose diagonal (2*beta_0 - shift) / tau_n overflows, raises ValueError.
     """
-    r, b0, b1, b2, root1, root2 = None, 1.0, 0.0, 0.0, 1.0, 1.0  # level 1
-    for n, r_n in enumerate(chain((None,), ratios), 1):
+    r, b0, b1, b2, root1, root2 = 0.0, 1.0, 0.0, 0.0, 1.0, 1.0  # level 1
+    for n, r_n in enumerate(chain((0.0,), ratios), 1):
         r_prev, r = r, r_n
-        if n == 2:
-            (b0, b1), b2, root1, root2 = bdf2_weights(1.0, r), 0.0, math.sqrt(r), 1.0
-        elif n > 2:
+        if n > 1:
             (b0, b1, b2), root1 = bdf3_weights(1.0, r, r_prev), math.sqrt(r)
-            root2 = math.sqrt(r * r_prev)
+            root2 = math.sqrt(r * r_prev) if n > 2 else 1.0
         diag = 2.0 * b0 - shift
         a1 = b1 / root1 if root1 else math.nan
         a2 = b2 / root2 if root2 else math.nan
@@ -203,10 +201,7 @@ def envelope_transfer_factor(x, y, kappa):
 
 def subdiagonal_certificate(x, y):
     """Certifies q_j <= b1_j + nu_j <= 0: nonpositive on the whole box."""
-    num = (1.0 + 2.0 * y + x * y) ** 2 - y * (1.0 + y)
-    mix = 1.0 + y + x * y
-    return (-(x**2) * num / ((1.0 + x) * (1.0 + y) * mix)
-            + KAPPA_MAX * x**2 * y**4 * (1.0 + x) / ((1.0 + y) ** 2 * mix))
+    return bdf3_weights(1.0, x, y)[1] + subdiagonal_envelopes(1.0, x, y)[1]
 
 
 def _pivot_certificate_terms(x, y, lam, kappa):

@@ -7,7 +7,6 @@ from conftest import certified_grid, inverse_kernel_matrix, make_rng, wild_grid
 from vsbdf3.bdf_kernels import (
     apply_D3,
     assemble_B,
-    bdf2_weights,
     bdf3_weights,
     inverse_kernel_rows,
     kernel_weights,
@@ -19,8 +18,9 @@ from vsbdf3.time_grid import build_from_steps, build_uniform, random_bounded_gri
 def test_uniform_weights_match_classical_values():
     assert kernel_weights(build_from_steps([1.0]))[0, 0] == 1.0
     assert kernel_weights(build_from_steps([2.0]))[0, 0] == 0.5
-    b0, b1 = bdf2_weights(1.0, 1.0)
-    assert (b0, b1) == pytest.approx((1.5, -0.5), abs=1e-15)
+    # two steps: the three-step form at r_{n-1} = 0
+    b0, b1, b2 = bdf3_weights(1.0, 1.0, 0.0)
+    assert (b0, b1, b2) == pytest.approx((1.5, -0.5, 0.0), abs=1e-15)
     b0, b1, b2 = bdf3_weights(1.0, 1.0, 1.0)
     assert (b0, b1, b2) == pytest.approx((11 / 6, -7 / 6, 1 / 3), abs=1e-15)
 

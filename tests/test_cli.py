@@ -312,6 +312,24 @@ def test_certify_reads_no_level_after_the_first_nonpositive_pivot(tmp_path, caps
     assert capsys.readouterr().err.startswith("error: level 5: step ratio r_5 = ")
 
 
+def test_level_two_ratio_that_overflows_the_three_step_form_is_refused(tmp_path, capsys):
+    # r_2 = 1e154 lies above sqrt(max / 3): the term 3 r_2^2 of the
+    # three-step form at r_1 = 0, which level 2 reads, overflows
+    wide = tmp_path / "wide.json"
+    wide.write_text('{"T": 1e154, "steps": [1.0, 1e154]}')
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--quiet", "certify", "--grid", str(wide)]) == 2
+        assert main(["--quiet", "kernels", "--grid", str(wide),
+                     "--out", str(tmp_path / "mats")]) == 2
+    assert not (tmp_path / "mats").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error: level 2: step ratio r_2 = 1e+154 gives non-finite ")
+               for line in err)
+
+
 def test_ratio_figure_rejects_overflowing_ratio(tmp_path, capsys):
     out = tmp_path / "fig.csv"
     with warnings.catch_warnings():

@@ -22,7 +22,6 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from vsbdf3.bdf_kernels import (  # noqa: E402
     _non_finite,
     assemble_B,
-    bdf2_weights,
     bdf3_weights,
     inverse_kernel_rows,
     kernel_weights,
@@ -60,6 +59,12 @@ def _insert(ratios, extremes):
     return ratios
 
 
+def _bdf2_weights(tau, r):
+    """The two-step closed form (b0, b1), an oracle independent of bdf3_weights."""
+    den = tau * (1.0 + r)
+    return (1.0 + 2.0 * r) / den, -(r * r) / den
+
+
 @settings(max_examples=150, deadline=None)
 @given(ratio_lists)
 def test_table_rows_over_tau_are_the_kernel_weights(ratios):
@@ -74,7 +79,7 @@ def test_table_rows_over_tau_are_the_kernel_weights(ratios):
         if level == 1:
             want = [1.0 / t, 0.0, 0.0]
         elif level == 2:
-            want = [*bdf2_weights(t, r[0]), 0.0]
+            want = [*_bdf2_weights(t, r[0]), 0.0]
         else:
             want = bdf3_weights(t, r[level - 2], r[level - 3])
         np.testing.assert_allclose(b[level - 1], want, rtol=1e-14, atol=0.0)
@@ -82,6 +87,20 @@ def test_table_rows_over_tau_are_the_kernel_weights(ratios):
     np.testing.assert_allclose(np.diagonal(B, -1), b[1:, 1], rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(np.diagonal(B, -2), b[2:, 2], rtol=1e-14, atol=0.0)
     assert not np.any(np.tril(B, -3)) and not np.any(np.triu(B, 1))
+
+
+# below sqrt(max / 3) ~ 7.741e153, the term 3 r^2 of the three-step form
+# stays finite, so level 2 has the two-step weights
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=7.74e153)
+       | st.sampled_from([0.0, 5e-324, 0.5, 1.0, 1.405, 2.0, 7.74e153]))
+def test_level_two_is_the_two_step_form_bit_for_bit(r2):
+    row = ratio_weights([r2])[1]
+    assert row.tobytes() == np.array([*_bdf2_weights(1.0, r2), 0.0]).tobytes()
+    assert math.copysign(1.0, row[2]) == 1.0
+    if r2 > 0.0:
+        diag, a1, a2, _, _ = list(_scaled_rows([r2], 0.0))[1]
+        assert (diag, a1, a2) == (2.0 * row[0], row[1] / math.sqrt(r2), 0.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -159,11 +178,9 @@ def test_certification_agrees_with_eigen_oracle(ratios):
 def test_closed_forms_give_the_same_bits_on_floats_and_arrays(args):
     tau, r, s = (np.array(column) for column in zip(*args))
     with np.errstate(all="ignore"):
-        arrays = [*bdf2_weights(tau, r), *bdf3_weights(tau, r, s),
-                  *subdiagonal_envelopes(tau, r, s)]
+        arrays = [*bdf3_weights(tau, r, s), *subdiagonal_envelopes(tau, r, s)]
     # on Python floats an overflow gives inf or nan, never an exception
-    floats = [[*bdf2_weights(t, x), *bdf3_weights(t, x, y), *subdiagonal_envelopes(t, x, y)]
-              for t, x, y in args]
+    floats = [[*bdf3_weights(t, x, y), *subdiagonal_envelopes(t, x, y)] for t, x, y in args]
     assert np.array(floats).T.tobytes() == np.array(arrays).tobytes()
 
 
