@@ -1,11 +1,13 @@
+import hashlib
 import math
 import re
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import certified_grid, make_rng
+from conftest import certified_grid, make_rng, wild_grid
 from eigen_oracles import min_symmetric_eigenvalue, spectral_norm
 from vsbdf3 import ratio_analysis
 from vsbdf3.bdf_kernels import assemble_B, kernel_weights
@@ -29,7 +31,7 @@ from vsbdf3.ratio_analysis import (
     sylvester_trace_A_from_ratios,
     sylvester_trace_shifted,
 )
-from vsbdf3.time_grid import build_from_ratios, build_uniform
+from vsbdf3.time_grid import build_from_ratios, build_from_steps, build_uniform
 
 
 def test_constants_are_the_published_values():
@@ -170,6 +172,28 @@ def test_pivot_at_the_stop_may_leave_the_float_range_on_the_grid_scale():
     assert tr.first_negative == 3
     assert math.isfinite(tr.p[0]) and math.isfinite(tr.p[1])
     assert tr.p[2] == -math.inf
+
+
+# steps falling by 1e-3 to 1.3e-160, then growing by 1.4: pivots near 2e160
+_TINY_STEPS = [10.0 ** (-3 * k) for k in range(54)] + [1.3e-160 * 1.4**k for k in range(21)]
+
+
+@pytest.mark.parametrize("grid, first_negative, sha256", [
+    (lambda: certified_grid(make_rng(19), 300), None,
+     "e3666244553992fe1da13e6be4ee14ee4d4a24884079789a895b08bfa7e872ba"),
+    (lambda: wild_grid(make_rng(0), 300), 24,
+     "c4849a36cfee3fa8f52a4c343fd194ccb5a916e8e5e08e55e6d06ac13f4d7529"),
+    (lambda: build_from_steps(_TINY_STEPS), None,
+     "9ca2d0cd1205b5c17d6cc8cea71e12ce5406c07e64e909846a647123cf1744dc"),
+], ids=["certified", "wild-stops-early", "step-1e-160"])
+def test_shifted_trace_bytes_are_pinned(grid, first_negative, sha256):
+    # the bytes of p then q, so any change in the elimination's arithmetic shows
+    g = grid()
+    tr = sylvester_trace_shifted(g)
+    assert tr.first_negative == first_negative
+    assert len(tr.p) == len(tr.q) == (first_negative or g.n_steps)
+    packed = struct.pack(f"<{len(tr.p)}d", *tr.p) + struct.pack(f"<{len(tr.q)}d", *tr.q)
+    assert hashlib.sha256(packed).hexdigest() == sha256
 
 
 def test_lemma_functions_hand_values():
