@@ -189,6 +189,9 @@ def initial_state(config: SolverConfig) -> np.ndarray:
         u0 = default_energy_initial_data(X, Y)
     if u0.shape != X.shape:
         raise ValueError("initial data does not match the operator unknowns")
+    if not np.isfinite(u0).all():
+        i = int(np.flatnonzero(~np.isfinite(u0))[0])
+        raise ValueError(f"initial data must be finite, got {float(u0.flat[i])!r} at index {i}")
     return _ro(u0)
 
 

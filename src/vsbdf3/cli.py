@@ -160,15 +160,18 @@ def _say(args, message: str) -> None:
 
 
 def cmd_convergence(args) -> int:
+    out, paths = args.out, [args.out] * len(args.eps2)
+    if out is not None and len(paths) > 1:
+        paths = [out.with_name(f"{out.stem}_eps2_{e:g}{out.suffix}") for e in args.eps2]
+        if len(set(paths)) < len(paths):
+            twice = next(p for p in paths if paths.count(p) > 1)
+            raise ValueError(f"--eps2 values {args.eps2} would write {twice} twice")
     reports = run_convergence(args.case, args.eps2, args.n, args.m, seed=args.seed)
-    for report in reports:
+    for report, path in zip(reports, paths):
         _say(args, f"case {report.case}  eps2={report.eps2:g}  M={report.m}")
         for n, error, rate, *_ in map(_cells, report.rows):
             _say(args, f"  N={n:<5} error={error} rate={rate or '-'}")
-        if args.out is not None:
-            path = Path(args.out)
-            if len(reports) > 1:
-                path = path.with_name(f"{path.stem}_eps2_{report.eps2:g}{path.suffix}")
+        if path is not None:
             emit(report, args.format, path)
             _say(args, f"  wrote {path}")
     return 0

@@ -3,10 +3,11 @@
 Positive definiteness of the kernel matrices is decided by running the
 symmetric-elimination pivot recursion on their banded entries (Sylvester's
 criterion applied minor by minor) and stopping at the first nonpositive
-pivot.  Both traces read one lazy row source over the step ratios, the
-rows of A + A^T - 2*gamma*I, A = Lambda^{1/2} B Lambda^{1/2}, which is
-congruent to B + B^T - 2*gamma*Lambda^{-1}; its pivots are the tau_j p_j
-that the closed-form certificates bound on the ratio box [0, 1.405]^2.
+pivot.  Both traces run one elimination loop over the step ratios, which
+forms each row of A + A^T - 2*gamma*I, A = Lambda^{1/2} B Lambda^{1/2}, as
+it eliminates it; the matrix is congruent to B + B^T - 2*gamma*Lambda^{-1},
+and its pivots are the tau_j p_j that the closed-form certificates bound on
+the ratio box [0, 1.405]^2.
 """
 
 from __future__ import annotations
@@ -83,16 +84,19 @@ class SylvesterTrace:
         return self.first_negative is None
 
 
-def _scaled_rows(ratios, shift, steps=None):
-    """Rows (2*a0 - shift, a1, a2, unit, coupling unit) of A + A^T - shift*I.
+def _elimination(ratios, shift, steps=None):
+    """Pivots and couplings of the symmetric elimination of A + A^T - shift*I.
 
-    a0 = beta_0, a1 = beta_1 / sqrt(r_n), a2 = beta_2 / sqrt(r_n r_{n-1}),
-    beta_k the weights at tau_n = 1: (1, 0, 0), then bdf3_weights with r_1 = 0.
-    The units bring a pivot and coupling back to B's scale: tau_n and
-    tau_n / sqrt(r_n) given the steps, else ones.  A level whose beta_k or
-    entries are not finite (a 0/0 from ratios that underflowed to zero), or
-    whose diagonal (2*beta_0 - shift) / tau_n overflows, raises ValueError.
+    Level n's row is 2*beta_0 - shift, a1 = beta_1 / sqrt(r_n), a2 = beta_2 /
+    sqrt(r_n r_{n-1}), beta_k the weights at tau_n = 1: (1, 0, 0), then
+    bdf3_weights with r_1 = 0.  Given the steps, a pivot and coupling come back
+    divided by tau_n and tau_n / sqrt(r_n).  No level is read after the first
+    nonpositive pivot.  A level whose beta_k or row is not finite (a 0/0 from
+    ratios that underflowed to zero), or whose diagonal (2*beta_0 - shift) /
+    tau_n overflows, raises ValueError; a non-finite row gives a non-finite pivot.
     """
+    p, q = [], []
+    p1, p2, q1 = 1.0, 1.0, 0.0  # stand-ins before level 1, met by zero couplings
     r, b0, b1, b2, root1, root2 = 0.0, 1.0, 0.0, 0.0, 1.0, 1.0  # level 1
     for n, r_n in enumerate(chain((0.0,), ratios), 1):
         r_prev, r = r, r_n
@@ -102,16 +106,23 @@ def _scaled_rows(ratios, shift, steps=None):
         diag = 2.0 * b0 - shift
         a1 = b1 / root1 if root1 else math.nan
         a2 = b2 / root2 if root2 else math.nan
-        if not (math.isfinite(diag) and math.isfinite(a1) and math.isfinite(a2)):
+        q1 = a1 - (q1 / p2) * a2
+        p2, p1 = p1, diag - a2 * a2 / p2 - q1 * q1 / p1
+        t = 1.0 if steps is None else steps[n - 1]
+        if not (math.isfinite(p1) and math.isfinite(diag / t)):
             if not (math.isfinite(b0) and math.isfinite(b1) and math.isfinite(b2)):
                 raise _non_finite(n, f"step ratio r_{n} = {r!r}", "beta_0, beta_1, beta_2",
                                   (b0, b1, b2))
-            raise _non_finite(n, f"step ratio r_{n} = {r!r}", "a0, a1, a2", (b0, a1, a2))
-        t = 1.0 if steps is None else steps[n - 1]
-        if not math.isfinite(diag / t):
-            raise _non_finite(n, f"step {t!r}", "shifted diagonal, b1, b2",
-                              (diag / t, b1 / t, b2 / t))
-        yield diag, a1, a2, t, 1.0 if steps is None else t / root1
+            if not (math.isfinite(diag) and math.isfinite(a1) and math.isfinite(a2)):
+                raise _non_finite(n, f"step ratio r_{n} = {r!r}", "a0, a1, a2", (b0, a1, a2))
+            if not math.isfinite(diag / t):
+                raise _non_finite(n, f"step {t!r}", "shifted diagonal, b1, b2",
+                                  (diag / t, b1 / t, b2 / t))
+        p.append(p1 / t)
+        q.append(q1 if steps is None else q1 / (t / root1))
+        if p1 <= 0.0:
+            return tuple(p), tuple(q), n
+    return tuple(p), tuple(q), None
 
 
 def generating_function(r: float, x) -> np.ndarray | float:
@@ -122,29 +133,11 @@ def generating_function(r: float, x) -> np.ndarray | float:
     """
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"ratio must be positive and finite, got {r!r}")
-    diag, a1, a2, _, _ = list(_scaled_rows((r, r), 0.0))[2]
-    return 2.0 * a2 * x**2 + a1 * x + (0.5 * diag - a2)
-
-
-def _pivot_recursion(rows):
-    """Shared elimination core on the banded entries of a symmetric matrix.
-
-    rows yields (diag, sub, subsub, unit, coupling unit) per level from level
-    1 on: the full diagonal entry, the entries coupling the level to the one
-    and two before it (exact zeros where no such level exists), and the units
-    its pivot and coupling are reported in.  No row is taken after the first
-    nonpositive pivot (the early stop of SylvesterTrace).
-    """
-    p, q = [], []
-    p1, p2, q1 = 1.0, 1.0, 0.0  # stand-ins before level 1, met by zero couplings
-    for diag, sub, subsub, unit, coupling_unit in rows:
-        q1 = sub - (q1 / p2) * subsub
-        p2, p1 = p1, diag - subsub * subsub / p2 - q1 * q1 / p1
-        p.append(p1 / unit)
-        q.append(q1 / coupling_unit)
-        if p1 <= 0.0:
-            return tuple(p), tuple(q), len(p)
-    return tuple(p), tuple(q), None
+    a0, b1, b2 = bdf3_weights(1.0, r, r)
+    a1, a2 = b1 / math.sqrt(r), b2 / r
+    if not all(map(math.isfinite, (a0, a1, a2))):
+        raise ValueError(f"ratio {r!r} gives non-finite coefficients {a0!r}, {a1!r}, {a2!r}")
+    return 2.0 * a2 * x**2 + a1 * x + (a0 - a2)
 
 
 def sylvester_trace_A_from_ratios(ratios) -> SylvesterTrace:
@@ -154,7 +147,7 @@ def sylvester_trace_A_from_ratios(ratios) -> SylvesterTrace:
     so arbitrarily long constant-ratio chains can be traced without ever
     materializing a step sequence.
     """
-    return SylvesterTrace(*_pivot_recursion(_scaled_rows(_checked_ratios(ratios).tolist(), 0.0)))
+    return SylvesterTrace(*_elimination(_checked_ratios(ratios).tolist(), 0.0))
 
 
 def subdiagonal_envelopes(tau_j, r_j, r_jm1):
@@ -177,8 +170,7 @@ def sylvester_trace_shifted(grid: TimeGrid) -> SylvesterTrace:
     come back as p_j and q_j; a positive p_j is at most the unscaled diagonal.
     """
     tau = grid.steps
-    return SylvesterTrace(*_pivot_recursion(
-        _scaled_rows(map(truediv, tau[1:], tau), 2.0 * GAMMA, tau)))
+    return SylvesterTrace(*_elimination(map(truediv, tau[1:], tau), 2.0 * GAMMA, tau))
 
 
 def certify_positive_definite(grid: TimeGrid) -> tuple[bool, SylvesterTrace]:

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import re
 import warnings
 import weakref
 from dataclasses import replace
@@ -74,16 +75,32 @@ def test_steady_states_need_no_newton_iterations():
         np.testing.assert_array_equal(res.final_state, initial_state(cfg))
 
 
-@pytest.mark.parametrize("value", [math.nan, 1e200])
+@pytest.mark.parametrize("value", [1e307, 1e200])
 def test_non_finite_residual_raises(value):
-    # NaN data gives a NaN residual before the first solve; 1e200 overflows
-    # u^3 to an infinite one.  Neither may pass as converged.
+    # 1e307 overflows b0*u, so the residual is inf - inf = NaN before the
+    # first solve; 1e200 overflows u^3 to an infinite one.  Neither may pass
+    # as converged.
     cfg = SolverConfig(build_uniform(3, 0.03), fourier_operator(8), 0.16, forcing="none",
                        initial_data=lambda x, y: np.full_like(x, value))
     with np.errstate(all="ignore"), pytest.raises(NewtonDivergenceError) as info:
         run(cfg)
     assert info.value.level == 1
     assert not math.isfinite(info.value.residual)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_initial_data_is_rejected(value):
+    def data(x, y):
+        u = np.zeros_like(x)
+        u.flat[5] = value
+        return u
+    cfg = SolverConfig(build_uniform(3, 0.03), fourier_operator(8), 0.16, forcing="none",
+                       initial_data=data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"initial data must be finite, got {value!r} at index 5")):
+            run(cfg)
 
 
 def test_overflowing_leading_weight_is_rejected_before_arithmetic():

@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from dense_oracles import doc_kernels
+from vsbdf3 import cli
 from vsbdf3.bdf_kernels import assemble_B
 from vsbdf3.cli import _Parser, build_parser, main, run_convergence
 from vsbdf3.time_grid import (
@@ -101,6 +102,19 @@ def test_convergence_multi_eps2_suffixed_paths(tmp_path):
     assert (tmp_path / "table_eps2_0.16.csv").exists()
     assert (tmp_path / "table_eps2_0.36.csv").exists()
     assert not out.exists()
+
+
+@pytest.mark.parametrize("eps2", ["0.1,0.10000000001", "0.16,0.36,0.16"])
+def test_convergence_refuses_eps2_values_sharing_a_file_name(tmp_path, capsys, monkeypatch,
+                                                              eps2):
+    # both values format as 0.1 (or repeat): one table would overwrite the other
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("solved before refusing"))
+    rc = main(["--quiet", "convergence", "--case", "uniform", "--eps2", eps2, "--n", "10",
+               "--m", "8", "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "twice" in err[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_convergence_case_two_without_seed_exits_2():

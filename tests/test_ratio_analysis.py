@@ -55,6 +55,14 @@ def test_generating_function_vectorized():
     assert out[5] == pytest.approx(generating_function(1.2, 0.0))
 
 
+def test_generating_function_refuses_ratios_that_overflow_its_coefficients():
+    # r^2 overflows above about 1.34e154; a ratio whose square underflows to
+    # zero still gives the finite coefficients (1, -0, 0)
+    with pytest.raises(ValueError, match="ratio 1e\\+200 gives non-finite coefficients"):
+        generating_function(1e200, 0.0)
+    assert generating_function(1e-200, 0.5) == 1.0
+
+
 def test_sylvester_A_uniform_two_levels():
     tr = sylvester_trace_A_from_ratios(build_uniform(2, 2.0).ratios)
     assert tr.p == pytest.approx((2.0, 23 / 8))

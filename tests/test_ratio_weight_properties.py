@@ -15,6 +15,7 @@ import re
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -29,9 +30,10 @@ from vsbdf3.bdf_kernels import (  # noqa: E402
 )
 from vsbdf3.ratio_analysis import (  # noqa: E402
     GAMMA,
-    _scaled_rows,
     certify_positive_definite,
+    generating_function,
     subdiagonal_envelopes,
+    sylvester_trace_A_from_ratios,
     sylvester_trace_shifted,
 )
 from vsbdf3.time_grid import build_from_ratios, build_from_steps  # noqa: E402
@@ -99,20 +101,85 @@ def test_level_two_is_the_two_step_form_bit_for_bit(r2):
     assert row.tobytes() == np.array([*_bdf2_weights(1.0, r2), 0.0]).tobytes()
     assert math.copysign(1.0, row[2]) == 1.0
     if r2 > 0.0:
-        diag, a1, a2, _, _ = list(_scaled_rows([r2], 0.0))[1]
-        assert (diag, a1, a2) == (2.0 * row[0], row[1] / math.sqrt(r2), 0.0)
+        # level 2 of A + A^T: diagonal 2*beta_0, coupling beta_1 / sqrt(r_2), and
+        # no entry two below, so p_2 = 2*beta_0 - a1^2 / p_1 with p_1 = 2
+        tr = sylvester_trace_A_from_ratios([r2])
+        a1 = row[1] / math.sqrt(r2)
+        assert tr.q[1] == a1 and math.copysign(1.0, tr.q[1]) == math.copysign(1.0, a1)
+        assert tr.p == (2.0, 2.0 * row[0] - a1 * a1 / 2.0)
+
+
+# b2 = beta_2 at equal ratios r stays finite and nonzero on this range
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=1e-60, max_value=1e40)
+       | st.sampled_from([0.5, 1.0, 1.405, 1.732, 2.0]))
+def test_generating_function_reads_the_three_step_weights_bit_for_bit(r):
+    # the level-3 row of A + A^T at r_3 = r_2 = r: a_k = beta_k / sqrt(r^k);
+    # a polynomial argument returns the coefficients (a0 - a2, a1, 2*a2) exactly
+    a0, b1, b2 = bdf3_weights(1.0, r, r)
+    a1, a2 = b1 / math.sqrt(r), b2 / r
+    coef = np.zeros(3)
+    got = generating_function(r, Polynomial([0.0, 1.0])).coef
+    coef[:got.size] = got
+    assert coef.tolist() == [a0 - a2, a1, 2.0 * a2]
+
+
+def _ldlt(S):
+    """Pivots d_j and unit lower factor L of a plain dense LDL^T of S, up to
+    the first nonpositive pivot."""
+    n = len(S)
+    L, d = np.eye(n), []
+    for j in range(n):
+        d.append(S[j, j] - np.dot(L[j, :j] ** 2, d[:j]))
+        if d[j] <= 0.0:
+            break
+        L[j + 1:, j] = (S[j + 1:, j] - L[j + 1:, :j] @ (L[j, :j] * d[:j])) / d[j]
+    return d, L
 
 
 @settings(max_examples=150, deadline=None)
 @given(ratio_lists)
-def test_scaled_rows_are_the_step_scaled_matrix(ratios):
+def test_ratio_trace_rows_are_the_step_scaled_matrix(ratios):
+    # undo each elimination step: the pivots and couplings give back the
+    # diagonal of A + A^T and its entry one below, and take the entry two
+    # below from A, row by row (stand-ins p = 1, q = 0 before level 1)
     g = build_from_ratios(ratios, 1.0)
-    a = np.array(list(_scaled_rows(g.ratios, 0.0)))
-    np.testing.assert_array_equal(a[:, 3:], 1.0)  # A's own units
+    tr = sylvester_trace_A_from_ratios(g.ratios)
     A = assemble_B(g).A
-    np.testing.assert_allclose(np.diagonal(A), a[:, 0] / 2.0, rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(np.diagonal(A, -1), a[1:, 1], rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(np.diagonal(A, -2), a[2:, 2], rtol=1e-13, atol=0.0)
+    S = A + A.T
+    p, q = [1.0, 1.0, *tr.p], [0.0, *tr.q]
+    assert tr.q[0] == 0.0
+    for j in range(len(tr.p)):
+        a2 = S[j, j - 2] if j >= 2 else 0.0
+        diag = [p[j + 2], a2 * a2 / p[j], q[j + 1] ** 2 / p[j + 1]]
+        sub = [q[j + 1], q[j] / p[j] * a2]
+        for terms, want in ((diag, S[j, j]), (sub, S[j, j - 1] if j else 0.0)):
+            assert abs(math.fsum(terms) - want) <= 1e-13 * (sum(map(abs, terms)) + abs(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ratio_lists)
+def test_ratio_trace_is_the_dense_ldlt_of_the_step_scaled_matrix(ratios):
+    # the ratio-only trace eliminates A + A^T in A's own units: its pivots are
+    # the dense pivots d_j, and its couplings q_j = d_{j-1} L[j, j-1]
+    g = build_from_ratios(ratios, 1.0)
+    tr = sylvester_trace_A_from_ratios(g.ratios)
+    A = assemble_B(g).A
+    S = A + A.T
+    d, L = _ldlt(S)
+    assert tr.first_negative == (len(d) if d[-1] <= 0.0 else None)
+    k = len(d)
+    assert len(tr.p) == len(tr.q) == k
+    for got, want, entry in ((tr.p, np.asarray(d), np.diagonal(S)[:k]),
+                             (tr.q[1:], np.diagonal(L, -1)[:k - 1] * d[:k - 1],
+                              np.diagonal(S, -1)[:k - 1])):
+        # relative to the entry and to what the elimination took from it,
+        # since a pivot may cancel far below both; a pivot after such a
+        # small one inherits its error (ratios [0.5, 3.0703125, 2] give
+        # 2.3e-13 of that scale), so the bound is 1e-10, as for the
+        # shifted trace, while the rows above hold to 1e-13
+        scale = np.abs(entry) + np.abs(entry - want)
+        assert np.all(np.abs(np.asarray(got) - want) <= 1e-10 * scale)
 
 
 @settings(max_examples=150, deadline=None)
@@ -245,18 +312,6 @@ def test_lazy_shifted_trace_is_the_table_trace_up_to_the_stop(ratios):
         assert np.asarray(got).tobytes() == want.tobytes()
 
 
-def _ldlt_pivots(S):
-    """Pivots d_j of a plain dense LDL^T of S, up to the first nonpositive one."""
-    n = len(S)
-    L, d = np.eye(n), []
-    for j in range(n):
-        d.append(S[j, j] - np.dot(L[j, :j] ** 2, d[:j]))
-        if d[j] <= 0.0:
-            break
-        L[j + 1:, j] = (S[j + 1:, j] - L[j + 1:, :j] @ (L[j, :j] * d[:j])) / d[j]
-    return d
-
-
 @settings(max_examples=200, deadline=None)
 @given(ratio_lists)
 def test_shifted_pivots_times_steps_are_the_dense_scaled_ldlt(ratios):
@@ -265,7 +320,7 @@ def test_shifted_pivots_times_steps_are_the_dense_scaled_ldlt(ratios):
     g = build_from_ratios(ratios, 1.0)
     tr = sylvester_trace_shifted(g)
     A = assemble_B(g).A
-    d = _ldlt_pivots(A + A.T - 2.0 * GAMMA * np.eye(g.n_steps))
+    d, _ = _ldlt(A + A.T - 2.0 * GAMMA * np.eye(g.n_steps))
     assert tr.first_negative == (len(d) if d[-1] <= 0.0 else None)
     np.testing.assert_allclose(np.asarray(tr.p) * g.steps[:len(tr.p)], d, rtol=1e-10, atol=0.0)
 
