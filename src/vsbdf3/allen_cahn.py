@@ -120,7 +120,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    """What one level's solve used and did.
+    """What one level's solve used and did; the energy of its field is left to run.
 
     b0 is the leading kernel weight the level solved with and tau its step
     tau_n; check_solvability and check_energy_condition read the two.
@@ -131,7 +131,6 @@ class StepDiagnostics:
     b0: float
     tau: float
     final_residual: float
-    energy_value: float
     # GMRES iterations of each Newton correction, in order
     inner_iterations: tuple[int, ...] = ()
 
@@ -145,14 +144,14 @@ class RunResult:
     """Final field, per-level diagnostics and energies of one run.
 
     final_state is the read-only field at the grid's level N; energies holds
-    the discrete free energy at levels 0..N; final_error is the discrete L2
-    error of final_state against the exact solution (manufactured runs
-    only, None otherwise).
+    the discrete free energy at levels 0..N (unforced runs only, None
+    otherwise); final_error is the discrete L2 error of final_state against
+    the exact solution (manufactured runs only, None otherwise).
     """
 
     final_state: np.ndarray
     diagnostics: tuple[StepDiagnostics, ...]
-    energies: np.ndarray
+    energies: np.ndarray | None
     final_error: float | None = None
 
 
@@ -221,11 +220,12 @@ def step(config: SolverConfig, history, n: int) -> tuple[np.ndarray, StepDiagnos
         res_norm = float(np.max(np.abs(res)))
         if res_norm <= tol:
             break
-        # a NaN residual fails the test above and raises here
-        if not math.isfinite(res_norm) or len(inner) >= _NEWTON_MAX_ITER:
+        # a NaN residual, or one whose 2-norm overflows, raises here; vdot is @ without its warning
+        beta = math.sqrt(float(np.vdot(res, res)))
+        if not math.isfinite(beta) or len(inner) >= _NEWTON_MAX_ITER:
             raise NewtonDivergenceError(n, res_norm, len(inner))
         inner_tol = max(1e-3 * NEWTON_TOL, 1e-13 * res_norm)
-        du, its = _newton_correction(op, eps2, b0 - 1.0, u, res, inner_tol, n)
+        du, its = _newton_correction(op, eps2, b0 - 1.0, u, res, beta, inner_tol, n)
         u = u + du
         inner.append(its)
 
@@ -235,14 +235,13 @@ def step(config: SolverConfig, history, n: int) -> tuple[np.ndarray, StepDiagnos
         b0=b0,
         tau=grid.steps[n - 1],
         final_residual=res_norm,
-        energy_value=energy(op, u, eps2),
         inner_iterations=tuple(inner),
     )
     return _ro(u), diag
 
 
 def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.ndarray,
-                       res: np.ndarray, tol: float, level: int) -> tuple[np.ndarray, int]:
+                       res: np.ndarray, beta: float, tol: float, level: int) -> tuple[np.ndarray, int]:
     """Solve (shift*I - eps2*L + diag(3u^2)) du = -res by one GMRES cycle.
 
     The cycle (Saad & Schultz 1986) takes at most _INNER_MAX_ITER
@@ -252,12 +251,11 @@ def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.nd
     the least-squares problem triangular; its last right-hand-side entry is
     the recurrence residual that tol bounds in the 2-norm, and the true
     residual differs from it by the rounding of the P^-1 solve.  The basis
-    grows by doubling.  res must be nonzero.  Returns du and the iterations.
+    grows by doubling.  beta = |res|_2 > 0.  Returns du and the iterations.
     """
     c3 = 3.0 * u * u
     c = 0.5 * (float(c3.max()) + float(c3.min()))
     solve, coupling = op.shifted_inverse(shift + c, eps2), c3 - c
-    beta = math.sqrt(float(res @ res))
     # 32 rows hold every correction of the study runs (at most 27 iterations)
     V = np.empty((32, res.size))
     V[0] = -res / beta
@@ -306,15 +304,16 @@ def levels(config: SolverConfig) -> Iterator[tuple[np.ndarray, StepDiagnostics]]
 
 def run(config: SolverConfig) -> RunResult:
     """Integrate over the whole grid; a caller that wants every field iterates levels."""
-    op, state = config.operator, initial_state(config)
-    diagnostics, energies = [], [energy(op, state, config.eps2)]
+    op, eps2, unforced = config.operator, config.eps2, config.forcing == "none"
+    diagnostics, energies = [], [energy(op, initial_state(config), eps2)] if unforced else None
     for state, diag in levels(config):
         diagnostics.append(diag)
-        energies.append(diag.energy_value)
+        if unforced:
+            energies.append(energy(op, state, eps2))
     error = None
-    if config.forcing == "manufactured" and config.initial_data is None:
+    if not unforced and config.initial_data is None:
         error = l2_norm(op, state - exact_solution(*op.mesh, float(config.grid.levels[-1])))
-    return RunResult(state, tuple(diagnostics), np.asarray(energies), error)
+    return RunResult(state, tuple(diagnostics), np.asarray(energies) if unforced else None, error)
 
 
 def check_solvability(b0: float) -> bool:

@@ -181,9 +181,7 @@ def cmd_ratio_figure(args) -> int:
     if args.length < 2:
         raise ValueError("--length must be at least 2")
     trace = sylvester_trace_A_from_ratios([args.ratio] * (args.length - 1))
-    lines = ["j,p"]
-    for j, pj in enumerate(trace.p, start=1):
-        lines.append(f"{j},{pj!r}")
+    lines = ["j,p", *(f"{j},{pj!r}" for j, pj in enumerate(trace.p, start=1))]
     Path(args.out).write_text("\n".join(lines) + "\n")
     if trace.first_negative is None:
         _say(args, f"ratio {args.ratio:g}: all {len(trace.p)} pivots positive")
@@ -303,7 +301,7 @@ _KERNELS_MAX_STEPS = 3000
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses counts over LIMITS once parsed; at m = 512 the GMRES basis is 1 GiB."""
+    """Refuses counts over LIMITS and negative seeds; at m = 512 the GMRES basis is 1 GiB."""
     LIMITS = dict.fromkeys(("n", "steps", "length", "levels"), 10**6) | {"m": 512}
 
     def parse_known_args(self, args=None, namespace=None):
@@ -312,6 +310,8 @@ class _Parser(argparse.ArgumentParser):
         for key, value in top.items():
             if value > self.LIMITS[key]:
                 self.error(f"{key} = {value} is above the limit {self.LIMITS[key]}")
+        if (getattr(namespace, "seed", None) or 0) < 0:
+            self.error(f"--seed must be non-negative, got {namespace.seed}")
         return namespace, extras
 
 

@@ -88,6 +88,34 @@ def test_non_finite_residual_raises(value):
     assert not math.isfinite(info.value.residual)
 
 
+def test_residual_whose_two_norm_overflows_is_a_divergence():
+    # at eps2 = 1e200 the first residual, about 1e199, is finite but its sum
+    # of squares is not: Newton diverges at level 1, with no RuntimeWarning
+    # (the suite makes those errors) and no singular-Jacobian report
+    cfg = SolverConfig(build_uniform(3, 0.03), fourier_operator(4), 1e200, forcing="none")
+    with pytest.raises(NewtonDivergenceError) as info:
+        run(cfg)
+    assert info.value.level == 1
+    assert math.isfinite(info.value.residual)
+
+
+def test_only_unforced_runs_evaluate_the_energy(monkeypatch):
+    # E(u^0) and one E(u^n) a level on unforced runs; manufactured runs read
+    # only final_error
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return energy(*args)
+
+    monkeypatch.setattr(allen_cahn, "energy", counted)
+    res = run(SolverConfig(build_uniform(6, 0.3), chebyshev_operator(6), eps2=0.36))
+    assert res.energies is None and calls == []
+    res = run(SolverConfig(build_uniform(6, 0.06), fourier_operator(8), 0.16, forcing="none"))
+    assert len(calls) == 7
+    assert res.energies.tolist() == [energy(*args) for args in calls]
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_initial_data_is_rejected(value):
     def data(x, y):
@@ -265,8 +293,7 @@ def test_run_equals_stepping_by_hand(energy_seed1):
         u, diag = step(cfg, hand[max(0, n - 3) :], n)
         hand.append(u)
         hand_diagnostics.append(diag)
-    hand_energies = [energy(cfg.operator, hand[0], cfg.eps2)]
-    hand_energies += [d.energy_value for d in hand_diagnostics]
+    hand_energies = [energy(cfg.operator, u, cfg.eps2) for u in hand]
     assert all(np.array_equal(a, b) for a, b in zip(states, hand, strict=True))
     assert diagnostics == hand_diagnostics
     res = run(cfg)
@@ -309,7 +336,8 @@ def test_rough_fields_converge_within_one_gmres_cycle():
         u = rng.uniform(-2.0, 2.0, n)
         eps2, shift = rng.uniform(1e-3, 5e-3), rng.uniform(1e-3, 2e-2)
         res = rng.standard_normal(n)
-        du, its = allen_cahn._newton_correction(op, eps2, shift, u, res, tol, 1)
+        du, its = allen_cahn._newton_correction(op, eps2, shift, u, res, np.sqrt(res @ res),
+                                                tol, 1)
         jacobian = shift * np.eye(n) - eps2 * op.L + np.diag(3.0 * u * u)
         assert its <= n
         assert np.linalg.norm(jacobian @ du + res) <= 10.0 * tol
@@ -454,7 +482,7 @@ def test_run_reports_per_level_diagnostics():
     op = chebyshev_operator(6)
     res = run(SolverConfig(grid, op, eps2=0.36))
     assert len(res.diagnostics) == 6
-    assert len(res.energies) == 7
+    assert res.energies is None
     assert [d.level for d in res.diagnostics] == list(range(1, 7))
     # each level's time is the grid's, bit for bit
     assert [d.time for d in res.diagnostics] == list(grid.levels[1:])

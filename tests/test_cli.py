@@ -416,6 +416,33 @@ def test_energy_command_rejects_overflowing_step(capsys):
                    "b0, b1, b2 = inf, 0.0, 0.0\n")
 
 
+def test_energy_residual_whose_two_norm_overflows_is_a_divergence(capsys):
+    # the first residual, about 1e199, is finite but its sum of squares is
+    # not; exit 3 names the level, with no numpy warning on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--quiet", "energy", "--eps2", "1e200", "--tau", "0.01",
+                   "--steps", "3", "--m", "4"])
+    assert rc == 3
+    assert capsys.readouterr().err == ("error: Newton did not converge at level 1: "
+                                       "residual 1.000e+199 after 0 iterations\n")
+
+
+@pytest.mark.parametrize("command, seed, rest", [
+    ("energy", -1, ["--eps2", "0.16", "--tau", "0.01", "--steps", "5"]),
+    ("convergence", -10, ["--case", "2", "--n", "5"]),
+    # the grid seed -3 + 5 is not negative, but the base seed is
+    ("convergence", -3, ["--case", "2", "--n", "5"]),
+])
+def test_negative_seed_is_refused_while_parsing(capsys, monkeypatch, command, seed, rest):
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("solved before refusing"))
+    with pytest.raises(SystemExit) as info:
+        main(["--quiet", command, "--seed", str(seed), *rest])
+    assert info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"vsbdf3 {command}: error: --seed must be non-negative, got {seed}"]
+
+
 def test_kernels_dump(tmp_path):
     grid_path = save_grid(build_uniform(4, 4.0), tmp_path / "g.json")
     outdir = tmp_path / "mats"

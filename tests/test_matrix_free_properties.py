@@ -64,7 +64,7 @@ def test_newton_correction_matches_the_dense_solve(op, seed, amplitude, eps2, lo
     jac = shift * np.eye(n) - eps2 * op.L + np.diag(3.0 * u * u)
     dense = np.linalg.solve(jac, -res)
     tol = 1e-13 * np.abs(res).max()
-    du, iterations = _newton_correction(op, eps2, shift, u, res, tol, level=1)
+    du, iterations = _newton_correction(op, eps2, shift, u, res, np.sqrt(res @ res), tol, level=1)
     assert iterations >= 1
     np.testing.assert_allclose(du, dense, rtol=0, atol=1e-9 * np.abs(dense).max())
 
@@ -91,7 +91,7 @@ def test_newton_correction_true_residual_stays_near_its_tolerance(op, seed, ampl
     c3 = 3.0 * u * u
     jac = shift * np.eye(n) - eps2 * op.L + np.diag(c3)
     tol = 1e-13 * np.abs(res).max()
-    du, _ = _newton_correction(op, eps2, shift, u, res, tol, level=1)
+    du, _ = _newton_correction(op, eps2, shift, u, res, np.sqrt(res @ res), tol, level=1)
     # |L|_2 <= 2*|d2|_2 for the Kronecker sum L = I (x) d2 + d2 (x) I
     jac_norm = shift + c3.max() + 2.0 * eps2 * np.linalg.norm(op.d2, 2)
     floor = np.finfo(float).eps * jac_norm * np.linalg.norm(du)
