@@ -68,12 +68,12 @@ class NewtonDivergenceError(RuntimeError):
     """Newton failed to converge; carries the level and last residual."""
 
     def __init__(self, level: int, residual: float, iterations: int):
-        self.level = level
-        self.residual = residual
-        super().__init__(
-            f"Newton did not converge at level {level}: "
-            f"residual {residual:.3e} after {iterations} iterations"
-        )
+        super().__init__(level, residual, iterations)  # args rebuild it on unpickling
+        self.level, self.residual = level, residual
+
+    def __str__(self):
+        return "Newton did not converge at level {}: residual {:.3e} after {} iterations".format(
+            *self.args)
 
 
 class SingularJacobianError(RuntimeError):
@@ -84,8 +84,11 @@ class SingularJacobianError(RuntimeError):
     """
 
     def __init__(self, level: int):
+        super().__init__(level)  # args rebuild it on unpickling
         self.level = level
-        super().__init__(f"singular Jacobian at level {level}")
+
+    def __str__(self):
+        return f"singular Jacobian at level {self.level}"
 
 
 # Max-norm residual at which Newton stops, and its iteration cap.
@@ -229,15 +232,8 @@ def step(config: SolverConfig, history, n: int) -> tuple[np.ndarray, StepDiagnos
         u = u + du
         inner.append(its)
 
-    diag = StepDiagnostics(
-        level=n,
-        time=t_n,
-        b0=b0,
-        tau=grid.steps[n - 1],
-        final_residual=res_norm,
-        inner_iterations=tuple(inner),
-    )
-    return _ro(u), diag
+    return _ro(u), StepDiagnostics(level=n, time=t_n, b0=b0, tau=grid.steps[n - 1],
+                                   final_residual=res_norm, inner_iterations=tuple(inner))
 
 
 def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.ndarray,

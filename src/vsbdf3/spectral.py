@@ -12,14 +12,20 @@ Two operator families:
   quadrature weights h^2.
 
 Unknowns are ordered row-major with y slow and x fast, so a flattened field
-reshaped to (k, k) holds U[y, x].  Both families are Kronecker sums of one
-pair of 1-D matrices d1, d2 (k x k), and every operator acts through that
-structure in O(k^3): L U = U d2^T + d2 U, Gx U = U d1^T, Gy U = d1 U.  One
-fast diagonalisation d2 = V diag(lambda) V^{-1} (Lynch, Rice & Thomas 1964),
-with orthogonal V when d2 is symmetric (Fourier), turns sigma*I - eps2*L
-into the diagonal sigma - eps2*(lambda_i + lambda_j) in the basis V (x) V,
-so its inverse also costs O(k^3).  The dense k^2 x k^2
-matrices L, Gx and Gy are built on first access, as test oracles only.
+reshaped to (k, k) holds U[y, x].  In both families L is the Kronecker sum
+of one 1-D second-derivative matrix d2 (k x k) and acts through that
+structure in O(k^3): L U = U d2^T + d2 U.  One fast diagonalisation
+d2 = V diag(lambda) V^{-1} (Lynch, Rice & Thomas 1964), with orthogonal V
+when d2 is symmetric (Fourier), turns sigma*I - eps2*L into the diagonal
+sigma - eps2*(lambda_i + lambda_j) in the basis V (x) V, so its inverse also
+costs O(k^3).  The dense k^2 x k^2 matrices L, Gx = I (x) d1 and
+Gy = d1 (x) I are built on first access, as test oracles only.
+
+The free energy takes its gradient term -<u, L u> from L, so on Fourier grids
+it is the functional the unforced scheme dissipates; a d1-based |grad u|^2
+is not, since d1 maps the Nyquist mode to zero and d2 does not.  The
+Chebyshev d2 is not symmetric under w: there the energy is a quadrature of
+the same integral without a proven decay.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ _MAX_DIAGONALISATION_ERROR = 1e-10
 
 @dataclass(frozen=True)
 class SpectralOperator:
-    """Discrete Laplacian, gradient components and quadrature on the unknowns.
+    """Discrete Laplacian, its shifted inverse and quadrature on the unknowns.
 
     nodes are the 1-D unknown coordinates and d1/d2 the 1-D first- and
     second-derivative matrices, all shared by both axes, and w holds the
@@ -109,11 +115,6 @@ class SpectralOperator:
         """L v."""
         U = v.reshape(self.d2.shape)
         return (U @ self.d2.T + self.d2 @ U).ravel()
-
-    def gradient(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Gx v, Gy v)."""
-        U = v.reshape(self.d1.shape)
-        return (U @ self.d1.T).ravel(), (self.d1 @ U).ravel()
 
     def shifted_inverse(self, sigma: float, eps2: float) -> Callable[[np.ndarray], np.ndarray]:
         """The map r -> (sigma*I - eps2*L)^{-1} r by fast diagonalisation."""
@@ -177,7 +178,7 @@ def open_chebyshev_weights(m: int) -> np.ndarray:
 
 
 def chebyshev_operator(m: int) -> SpectralOperator:
-    """Dirichlet Laplacian/gradient on the (m-1)^2 interior nodes of [-1, 1]^2."""
+    """Dirichlet Laplacian on the (m-1)^2 interior nodes of [-1, 1]^2."""
     if m < 2:
         raise ValueError(f"need m >= 2 for interior unknowns, got {m}")
     x, D = chebyshev_diff_matrix(m)
@@ -192,7 +193,7 @@ def chebyshev_operator(m: int) -> SpectralOperator:
 
 
 def fourier_operator(m: int) -> SpectralOperator:
-    """Periodic Laplacian/gradient on the m^2 nodes of (0, 2*pi)^2 (m even)."""
+    """Periodic Laplacian on the m^2 nodes of (0, 2*pi)^2 (m even)."""
     if m < 4 or m % 2 != 0:
         raise ValueError(f"need even m >= 4, got {m}")
     h = 2.0 * np.pi / m
@@ -229,9 +230,7 @@ def l2_norm(op: SpectralOperator, f) -> float:
 
 
 def energy(op: SpectralOperator, f, eps2: float) -> float:
-    """Discrete free energy: (eps2/2)*||grad u||^2 + (1/4)*||u^2 - 1||^2."""
+    """Discrete free energy -(eps2/2)*<u, L u> + (1/4)*||u^2 - 1||^2; see the module notes."""
     v = _values(op, f)
-    gx, gy = op.gradient(v)
-    grad2 = float(op.w @ (gx * gx + gy * gy))
     bulk = v * v - 1.0
-    return 0.5 * eps2 * grad2 + 0.25 * float(op.w @ (bulk * bulk))
+    return 0.25 * float(op.w @ (bulk * bulk)) - 0.5 * eps2 * float(op.w @ (v * op.laplacian(v)))

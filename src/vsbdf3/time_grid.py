@@ -44,10 +44,12 @@ class TimeGrid:
         if len(self.steps) == 0:
             raise ValueError("a time grid needs at least one step")
         # positive steps with a finite sum are all finite, and a NaN makes the sum NaN
-        if not (min(self.steps) > 0.0 and math.isfinite(sum(self.steps))):
+        total = sum(self.steps)
+        if not (min(self.steps) > 0.0 and math.isfinite(total)):
             for s in self.steps:
                 if not (math.isfinite(s) and s > 0.0):
                     raise ValueError(f"step sizes must be positive and finite, got {s!r}")
+            raise ValueError(f"step sizes must have a finite sum, got {total!r}")
 
     @property
     def n_steps(self) -> int:

