@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import math
 import pickle
@@ -282,6 +283,17 @@ def test_random_grid_keeps_its_per_level_solver_counts(eps2, counts):
     assert [d.newton_iterations for d in res.diagnostics] == [len(c) for c in counts]
 
 
+@pytest.mark.parametrize("eps2, sha256", [
+    (0.16, "30ad4a43a44b69a20d7ae6b3dc53ab097a6544a2c8a03cbba4e89240a58ed6bc"),
+    (0.36, "7f38b23b3adea7ccc726dcb17b96bdd05d0e778db8b5f779848e7cd8eb34f782"),
+])
+def test_random_grid_final_field_bytes_are_pinned(eps2, sha256):
+    # the Chebyshev solver bit for bit: its eigenvectors are a strided view
+    # that BLAS may round differently from a contiguous copy
+    res = run(SolverConfig(build_random(80, 1.0, 83), chebyshev_operator(20), eps2))
+    assert hashlib.sha256(res.final_state.tobytes()).hexdigest() == sha256
+
+
 # GMRES iterations of each Newton correction, per level, on the energy-periodic
 # benchmark run (vsbdf3 energy --eps2 0.16 --tau 0.01 --steps 200 --seed 1)
 _ENERGY_SEED1 = [(3, 2)] * 120 + [(4, 2)] * 6 + [(3, 2)] * 2 + [(4, 2)] * 72
@@ -318,6 +330,12 @@ def test_energy_run_keeps_its_per_level_solver_counts(energy_seed1):
     _, _, diagnostics = energy_seed1
     assert [d.inner_iterations for d in diagnostics] == _ENERGY_SEED1
     assert [d.newton_iterations for d in diagnostics] == [2] * 200
+
+
+def test_energy_run_final_field_bytes_are_pinned(energy_seed1):
+    _, states, _ = energy_seed1
+    digest = hashlib.sha256(states[-1].tobytes()).hexdigest()
+    assert digest == "98f2f5a722409f80f4ef914317ea44410a76fca7e78ea6db7982d81000588b83"
 
 
 def test_energy_run_solves_the_equation_written_with_a_power(energy_seed1):
