@@ -121,7 +121,7 @@ class SolverConfig:
         return kernel_weights(self.grid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepDiagnostics:
     """What one level's solve used and did; the energy of its field is left to run.
 
@@ -215,12 +215,12 @@ def step(config: SolverConfig, history, n: int) -> tuple[np.ndarray, StepDiagnos
     if config.forcing == "manufactured":
         X, Y = op.mesh
         rhs = rhs + forcing(X, Y, t_n, eps2)
-    tol = max(NEWTON_TOL, 4.0 * _EPS * float(np.max(np.abs(rhs))))
+    tol = max(NEWTON_TOL, 4.0 * _EPS * float(np.abs(rhs).max()))
 
     inner = []
     while True:
         res = b0 * u - eps2 * op.laplacian(u) + u * u * u - u - rhs  # u**3 calls libm pow
-        res_norm = float(np.max(np.abs(res)))
+        res_norm = float(np.abs(res).max())
         if res_norm <= tol:
             break
         # a NaN residual, or one whose 2-norm overflows, raises here; vdot is @ without its warning
@@ -252,7 +252,7 @@ def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.nd
     c3 = 3.0 * u * u
     c = 0.5 * (float(c3.max()) + float(c3.min()))
     solve, coupling = op.shifted_inverse(shift + c, eps2), c3 - c
-    # 32 rows hold every correction of the study runs (at most 27 iterations)
+    # 32 rows hold every correction of the study runs (at most 11 iterations)
     V = np.empty((32, res.size))
     V[0] = -res / beta
     # rows of the rotated Hessenberg triangle, the rotations and rotated beta*e_1
@@ -260,11 +260,12 @@ def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.nd
     for j in range(_INNER_MAX_ITER):
         w = V[j] + coupling * solve(V[j])
         # classical Gram-Schmidt, applied twice for orthogonality
-        h = V[: j + 1] @ w
-        w -= h @ V[: j + 1]
-        h2 = V[: j + 1] @ w
-        w -= h2 @ V[: j + 1]
-        col, hn = (h + h2).tolist(), math.sqrt(float(w @ w))
+        Vj = V[: j + 1]
+        h = np.dot(Vj, w)
+        w -= np.dot(h, Vj)
+        h2 = np.dot(Vj, w)
+        w -= np.dot(h2, Vj)
+        col, hn = (h + h2).tolist(), math.sqrt(float(np.dot(w, w)))
         for i, (ci, si) in enumerate(rotations):
             col[i], col[i + 1] = ci * col[i] + si * col[i + 1], ci * col[i + 1] - si * col[i]
             rows[i].append(col[i])
@@ -286,7 +287,7 @@ def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.nd
     y = np.empty(k)
     for i in range(k - 1, -1, -1):
         y[i] = (g[i] - np.dot(rows[i][1:], y[i + 1 :])) / rows[i][0]
-    return solve(y @ V[:k]), k
+    return solve(np.dot(y, V[:k])), k
 
 
 def levels(config: SolverConfig) -> Iterator[tuple[np.ndarray, StepDiagnostics]]:

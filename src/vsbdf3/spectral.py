@@ -114,13 +114,14 @@ class SpectralOperator:
     def laplacian(self, v: np.ndarray) -> np.ndarray:
         """L v."""
         U = v.reshape(self.d2.shape)
-        return (U @ self.d2.T + self.d2 @ U).ravel()
+        return (np.dot(U, self.d2.T) + np.dot(self.d2, U)).ravel()
 
     def shifted_inverse(self, sigma: float, eps2: float) -> Callable[[np.ndarray], np.ndarray]:
         """The map r -> (sigma*I - eps2*L)^{-1} r by fast diagonalisation."""
         V, Vinv = self._vecs, self._vecs_inv
         diagonal = sigma - eps2 * self._eig_sums  # formed once, read by every solve
-        return lambda r: (V @ ((Vinv @ r.reshape(V.shape) @ Vinv.T) / diagonal) @ V.T).ravel()
+        return lambda r: (np.dot(V, np.dot(np.dot(Vinv, r.reshape(V.shape)), Vinv.T) / diagonal)
+                          @ V.T).ravel()  # stays @: np.dot rounds otherwise on eig's strided V
 
     # dense k^2 x k^2 oracles, built on first access
 
@@ -217,9 +218,7 @@ def fourier_operator(m: int) -> SpectralOperator:
 def _values(op: SpectralOperator, f) -> np.ndarray:
     v = np.asarray(f, dtype=float)
     if v.shape != (op.n_unknowns,):
-        raise ValueError(
-            f"field has shape {v.shape}, operator has {op.n_unknowns} unknowns"
-        )
+        raise ValueError(f"field has shape {v.shape}, operator has {op.n_unknowns} unknowns")
     return v
 
 

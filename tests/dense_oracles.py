@@ -1,9 +1,14 @@
-"""Dense N x N oracle for the inverse kernels.
+"""Dense N x N oracle for the inverse kernels, and @ forms of the spectral solves.
 
 doc_kernels fills D = B^{-1} column by column with vector operations over
 all rows at once, the loop order the package used before it streamed one
 row at a time.  The tests check the shipped row generator against it bit
 for bit, and use it where a check over many large grids would be slow.
+
+laplacian_matmul and shifted_inverse_matmul write the operator's tensor
+products with @, the matmul ufunc.  The package calls the same BLAS
+routines through np.dot, which dispatches faster, and must give the same
+bits.
 """
 
 import numpy as np
@@ -32,3 +37,16 @@ def doc_kernels(grid) -> np.ndarray:
         D[j + 1 :, j] = -acc / b0[j]
     D.flags.writeable = False
     return D
+
+
+def laplacian_matmul(op, v) -> np.ndarray:
+    """L v as U d2^T + d2 U, written with @."""
+    U = v.reshape(op.d2.shape)
+    return (U @ op.d2.T + op.d2 @ U).ravel()
+
+
+def shifted_inverse_matmul(op, sigma, eps2, r) -> np.ndarray:
+    """(sigma*I - eps2*L)^{-1} r by fast diagonalisation, written with @."""
+    V, Vinv = op._vecs, op._vecs_inv
+    diagonal = sigma - eps2 * op._eig_sums
+    return (V @ ((Vinv @ r.reshape(V.shape) @ Vinv.T) / diagonal) @ V.T).ravel()

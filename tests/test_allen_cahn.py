@@ -6,7 +6,7 @@ import pickle
 import re
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from vsbdf3.allen_cahn import (
     NewtonDivergenceError,
     SingularJacobianError,
     SolverConfig,
+    StepDiagnostics,
     check_energy_condition,
     check_solvability,
     consistency_probe,
@@ -109,6 +110,27 @@ def test_solver_errors_survive_pickling(exc):
     assert type(back) is type(exc)
     assert str(back) == str(exc)
     assert vars(back) == vars(exc) and back.args == exc.args
+
+
+@pytest.mark.parametrize("op, forcing_mode", [(chebyshev_operator(6), "manufactured"),
+                                               (fourier_operator(4), "none")],
+                         ids=["manufactured", "unforced"])
+def test_run_results_survive_pickling(op, forcing_mode):
+    # a worker process would hand its result back pickled; the copy must hold
+    # the same bits, and the slotted diagnostics stay frozen
+    res = run(SolverConfig(build_uniform(6, 0.3), op, 0.36, forcing=forcing_mode))
+    back = pickle.loads(pickle.dumps(res))
+    assert back.diagnostics == res.diagnostics
+    assert all(type(d) is StepDiagnostics for d in back.diagnostics)
+    assert np.array_equal(back.final_state, res.final_state)
+    if res.energies is None:
+        assert back.energies is None and back.final_error == res.final_error
+    else:
+        assert np.array_equal(back.energies, res.energies) and back.final_error is None
+    diag = back.diagnostics[-1]
+    assert not hasattr(diag, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        diag.b0 = 2.0
 
 
 def test_only_unforced_runs_evaluate_the_energy(monkeypatch):
@@ -288,8 +310,8 @@ def test_random_grid_keeps_its_per_level_solver_counts(eps2, counts):
     (0.36, "7f38b23b3adea7ccc726dcb17b96bdd05d0e778db8b5f779848e7cd8eb34f782"),
 ])
 def test_random_grid_final_field_bytes_are_pinned(eps2, sha256):
-    # the Chebyshev solver bit for bit: its eigenvectors are a strided view
-    # that BLAS may round differently from a contiguous copy
+    # the Chebyshev solver bit for bit: its eigenvectors are eig's strided
+    # real view, on which np.dot and @ round differently
     res = run(SolverConfig(build_random(80, 1.0, 83), chebyshev_operator(20), eps2))
     assert hashlib.sha256(res.final_state.tobytes()).hexdigest() == sha256
 

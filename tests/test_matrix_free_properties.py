@@ -3,8 +3,9 @@
 Operators are drawn from both families at random resolution (Chebyshev
 m in 2..14, Fourier m in 4..16, and up to 32 for the true-residual test)
 and fields from a seeded generator.  The references are the dense
-Kronecker-product oracles op.L, op.Gx and op.Gy and numpy.linalg.solve on
-the dense Newton matrix.
+Kronecker-product oracles op.L, op.Gx and op.Gy, numpy.linalg.solve on
+the dense Newton matrix, and the @ forms of the tensor products in
+dense_oracles, which the np.dot products must equal bit for bit.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from dense_oracles import laplacian_matmul, shifted_inverse_matmul  # noqa: E402
 from vsbdf3.allen_cahn import _newton_correction  # noqa: E402
 from vsbdf3.spectral import chebyshev_operator, fourier_operator  # noqa: E402
 
@@ -39,6 +41,19 @@ def test_tensor_laplacian_and_gradient_match_dense_oracles(op, seed):
     scale = np.abs(op.d1).sum(1).max() * np.abs(v).max()
     np.testing.assert_allclose(op.Gx @ v, (U @ op.d1.T).ravel(), rtol=0, atol=1e-13 * scale)
     np.testing.assert_allclose(op.Gy @ v, (op.d1 @ U).ravel(), rtol=0, atol=1e-13 * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(min_value=3, max_value=24).map(chebyshev_operator),
+                 st.integers(min_value=2, max_value=16).map(lambda h: fourier_operator(2 * h))),
+       seeds, st.floats(min_value=1e-3, max_value=1e7), st.floats(min_value=1e-3, max_value=1.0))
+def test_np_dot_products_equal_the_matmul_forms_bit_for_bit(op, seed, sigma, eps2):
+    # on Chebyshev operators the eigenvectors are the strided real part of
+    # eig's complex result; there np.dot(X, V.T) rounds otherwise than X @ V.T
+    r = _field(seed, op.n_unknowns)
+    assert np.array_equal(op.laplacian(r), laplacian_matmul(op, r))
+    assert np.array_equal(op.shifted_inverse(sigma, eps2)(r),
+                          shifted_inverse_matmul(op, sigma, eps2, r))
 
 
 @settings(max_examples=60, deadline=None)
