@@ -54,7 +54,6 @@ __all__ = [
     "exact_time_derivative",
     "forcing",
     "default_energy_initial_data",
-    "initial_state",
     "step",
     "levels",
     "run",
@@ -120,6 +119,23 @@ class SolverConfig:
         """The grid's kernel-weight table, built on first use and read by every level."""
         return kernel_weights(self.grid)
 
+    @cached_property
+    def initial_state(self) -> np.ndarray:
+        """u^0 on the mesh, evaluated once; a read-only copy, not the caller's array."""
+        X, Y = self.operator.mesh
+        if self.initial_data is not None:
+            u0 = np.array(self.initial_data(X, Y), dtype=float)
+        elif self.forcing == "manufactured":
+            u0 = exact_solution(X, Y, 0.0)
+        else:
+            u0 = default_energy_initial_data(X, Y)
+        if u0.shape != X.shape:
+            raise ValueError("initial data does not match the operator unknowns")
+        if not np.isfinite(u0).all():
+            i = int(np.flatnonzero(~np.isfinite(u0))[0])
+            raise ValueError(f"initial data must be finite, got {float(u0.flat[i])!r} at index {i}")
+        return _ro(u0)
+
 
 @dataclass(frozen=True, slots=True)
 class StepDiagnostics:
@@ -129,8 +145,6 @@ class StepDiagnostics:
     tau_n; check_solvability and check_energy_condition read the two.
     """
 
-    level: int
-    time: float
     b0: float
     tau: float
     final_residual: float
@@ -157,6 +171,11 @@ class RunResult:
     energies: np.ndarray | None
     final_error: float | None = None
 
+    def __setstate__(self, state):
+        # numpy does not pickle the writeable flag
+        self.__dict__.update(state)
+        _ro(self.final_state)
+
 
 def exact_solution(x, y, t):
     """Manufactured solution (t^4 + 1)(1 - x^2)(1 - y^2) on [-1, 1]^2."""
@@ -181,22 +200,6 @@ def default_energy_initial_data(x, y):
     return 0.05 * np.sin(np.asarray(x)) * np.sin(np.asarray(y))
 
 
-def initial_state(config: SolverConfig) -> np.ndarray:
-    X, Y = config.operator.mesh
-    if config.initial_data is not None:
-        u0 = np.asarray(config.initial_data(X, Y), dtype=float)
-    elif config.forcing == "manufactured":
-        u0 = exact_solution(X, Y, 0.0)
-    else:
-        u0 = default_energy_initial_data(X, Y)
-    if u0.shape != X.shape:
-        raise ValueError("initial data does not match the operator unknowns")
-    if not np.isfinite(u0).all():
-        i = int(np.flatnonzero(~np.isfinite(u0))[0])
-        raise ValueError(f"initial data must be finite, got {float(u0.flat[i])!r} at index {i}")
-    return _ro(u0)
-
-
 def step(config: SolverConfig, history, n: int) -> tuple[np.ndarray, StepDiagnostics]:
     """Advance to level n given the fields of levels max(0, n-3)..n-1."""
     grid, op, eps2 = config.grid, config.operator, config.eps2
@@ -206,7 +209,6 @@ def step(config: SolverConfig, history, n: int) -> tuple[np.ndarray, StepDiagnos
         raise ValueError(f"history must hold the last {min(n, 3)} levels, got {len(history)}")
     weights = config.kernel_weights[n - 1]
     b0 = float(weights[0])
-    t_n = float(grid.levels[n])
 
     # Newton starts from u = u^(n-1).  D3 with u^n replaced by u^(n-1) is the
     # part of the derivative that the history fixes: b1*du^(n-1) + b2*du^(n-2)
@@ -214,7 +216,7 @@ def step(config: SolverConfig, history, n: int) -> tuple[np.ndarray, StepDiagnos
     rhs = b0 * u - apply_D3(weights, [*history, u])
     if config.forcing == "manufactured":
         X, Y = op.mesh
-        rhs = rhs + forcing(X, Y, t_n, eps2)
+        rhs = rhs + forcing(X, Y, float(grid.levels[n]), eps2)
     tol = max(NEWTON_TOL, 4.0 * _EPS * float(np.abs(rhs).max()))
 
     inner = []
@@ -232,8 +234,8 @@ def step(config: SolverConfig, history, n: int) -> tuple[np.ndarray, StepDiagnos
         u = u + du
         inner.append(its)
 
-    return _ro(u), StepDiagnostics(level=n, time=t_n, b0=b0, tau=grid.steps[n - 1],
-                                   final_residual=res_norm, inner_iterations=tuple(inner))
+    return _ro(u), StepDiagnostics(b0=b0, tau=grid.steps[n - 1], final_residual=res_norm,
+                                   inner_iterations=tuple(inner))
 
 
 def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.ndarray,
@@ -292,7 +294,7 @@ def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.nd
 
 def levels(config: SolverConfig) -> Iterator[tuple[np.ndarray, StepDiagnostics]]:
     """Yield each level's field and diagnostics, 1..N, holding the three fields step reads."""
-    history = [initial_state(config)]
+    history = [config.initial_state]
     for n in range(1, config.grid.n_steps + 1):
         u, diag = step(config, history, n)
         history = [*history[-2:], u]
@@ -302,7 +304,7 @@ def levels(config: SolverConfig) -> Iterator[tuple[np.ndarray, StepDiagnostics]]
 def run(config: SolverConfig) -> RunResult:
     """Integrate over the whole grid; a caller that wants every field iterates levels."""
     op, eps2, unforced = config.operator, config.eps2, config.forcing == "none"
-    diagnostics, energies = [], [energy(op, initial_state(config), eps2)] if unforced else None
+    diagnostics, energies = [], [energy(op, config.initial_state, eps2)] if unforced else None
     for state, diag in levels(config):
         diagnostics.append(diag)
         if unforced:

@@ -11,9 +11,11 @@ one "error:" line on stderr, as it does solver failures.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
+from contextlib import nullcontext, redirect_stdout
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -154,11 +156,6 @@ def emit(report: ConvergenceReport, fmt: str, path) -> Path:
 # subcommands
 
 
-def _say(args, message: str) -> None:
-    if not args.quiet:
-        print(message)
-
-
 def cmd_convergence(args) -> int:
     out, paths = args.out, [args.out] * len(args.eps2)
     if out is not None and len(paths) > 1:
@@ -168,12 +165,12 @@ def cmd_convergence(args) -> int:
             raise ValueError(f"--eps2 values {args.eps2} would write {twice} twice")
     reports = run_convergence(args.case, args.eps2, args.n, args.m, seed=args.seed)
     for report, path in zip(reports, paths):
-        _say(args, f"case {report.case}  eps2={report.eps2:g}  M={report.m}")
+        print(f"case {report.case}  eps2={report.eps2:g}  M={report.m}")
         for n, error, rate, *_ in map(_cells, report.rows):
-            _say(args, f"  N={n:<5} error={error} rate={rate or '-'}")
+            print(f"  N={n:<5} error={error} rate={rate or '-'}")
         if path is not None:
             emit(report, args.format, path)
-            _say(args, f"  wrote {path}")
+            print(f"  wrote {path}")
     return 0
 
 
@@ -184,37 +181,37 @@ def cmd_ratio_figure(args) -> int:
     lines = ["j,p", *(f"{j},{pj!r}" for j, pj in enumerate(trace.p, start=1))]
     Path(args.out).write_text("\n".join(lines) + "\n")
     if trace.first_negative is None:
-        _say(args, f"ratio {args.ratio:g}: all {len(trace.p)} pivots positive")
+        print(f"ratio {args.ratio:g}: all {len(trace.p)} pivots positive")
     else:
-        _say(args, f"ratio {args.ratio:g}: first nonpositive pivot at j={trace.first_negative}")
-    _say(args, f"wrote {args.out}")
+        print(f"ratio {args.ratio:g}: first nonpositive pivot at j={trace.first_negative}")
+    print(f"wrote {args.out}")
     return 0
 
 
 def cmd_validate_lemmas(args) -> int:
     result = sweep_lemma_bounds(resolution=args.resolution)
-    _say(args, f"resolution {result.resolution:g}, kappas {list(SWEEP_KAPPAS)}")
-    _say(args, f"  transfer factor   in [{result.transfer_min:.12f}, {result.transfer_max:.12f}]"
-               f"  (certified [1, 2.7])")
-    _say(args, f"  subdiag cert      in [{result.subdiag_min:.6e}, {result.subdiag_max:.6e}]"
-               f"  (certified <= 0)")
-    _say(args, f"  pivot lower cert  in [{result.pivot_lower_min:.6e}, {result.pivot_lower_max:.6e}]"
-               f"  (certified >= 0)")
-    _say(args, f"  pivot upper cert  in [{result.pivot_upper_min:.6e}, {result.pivot_upper_max:.6e}]"
-               f"  (certified <= 0)")
-    _say(args, "all bounds hold" if result.passed else "BOUND VIOLATION")
+    print(f"resolution {result.resolution:g}, kappas {list(SWEEP_KAPPAS)}")
+    print(f"  transfer factor   in [{result.transfer_min:.12f}, {result.transfer_max:.12f}]"
+          f"  (certified [1, 2.7])")
+    print(f"  subdiag cert      in [{result.subdiag_min:.6e}, {result.subdiag_max:.6e}]"
+          f"  (certified <= 0)")
+    print(f"  pivot lower cert  in [{result.pivot_lower_min:.6e}, {result.pivot_lower_max:.6e}]"
+          f"  (certified >= 0)")
+    print(f"  pivot upper cert  in [{result.pivot_upper_min:.6e}, {result.pivot_upper_max:.6e}]"
+          f"  (certified <= 0)")
+    print("all bounds hold" if result.passed else "BOUND VIOLATION")
     return 0 if result.passed else 1
 
 
 def cmd_certify(args) -> int:
     grid = load_grid(args.grid)
     ok, trace = certify_positive_definite(grid)
-    _say(args, f"grid: {grid.n_steps} steps, horizon {grid.horizon:g}, "
-               f"max ratio {max(grid.ratios, default=None)}")
+    print(f"grid: {grid.n_steps} steps, horizon {grid.horizon:g}, "
+          f"max ratio {max(grid.ratios, default=None)}")
     if ok:
-        _say(args, "certified: all pivots positive")
+        print("certified: all pivots positive")
         return 0
-    _say(args, f"NOT certified: first nonpositive pivot at level {trace.first_negative}")
+    print(f"NOT certified: first nonpositive pivot at level {trace.first_negative}")
     return 1
 
 
@@ -233,10 +230,10 @@ def cmd_energy(args) -> int:
         for t, e in zip(grid.levels, result.energies):
             lines.append(f"{float(t)!r},{float(e)!r}")
         Path(args.out).write_text("\n".join(lines) + "\n")
-        _say(args, f"wrote {args.out}")
-    _say(args, f"E(u^0) = {e0:.12f}; max excess over E(u^0): {worst:.3e}")
+        print(f"wrote {args.out}")
+    print(f"E(u^0) = {e0:.12f}; max excess over E(u^0): {worst:.3e}")
     ok = worst <= ENERGY_TOL
-    _say(args, "energy bounded by its initial value" if ok else "ENERGY EXCEEDED E(u^0)")
+    print("energy bounded by its initial value" if ok else "ENERGY EXCEEDED E(u^0)")
     return 0 if ok else 1
 
 
@@ -268,7 +265,7 @@ def cmd_kernels(args) -> int:
         for path in made:
             path.rmdir()
         raise
-    _say(args, f"wrote B.csv, A.csv, D.csv to {out}")
+    print(f"wrote B.csv, A.csv, D.csv to {out}")
     return 0
 
 
@@ -289,9 +286,9 @@ def cmd_consistency(args) -> int:
         eta = consistency_probe(grid, v, v_prime)
         max_eta = float(np.max(np.abs(eta[2:])))
         lines.append(f"{n},{1.0 / n!r},{max_eta!r}")
-        _say(args, f"  N={n:<5d} tau={1.0 / n:.6g} max residual (3-step levels) {max_eta:.6e}")
+        print(f"  N={n:<5d} tau={1.0 / n:.6g} max residual (3-step levels) {max_eta:.6e}")
     Path(args.out).write_text("\n".join(lines) + "\n")
-    _say(args, f"wrote {args.out}")
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -392,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with redirect_stdout(io.StringIO()) if args.quiet else nullcontext():
+            return args.func(args)
     except (NewtonDivergenceError, SingularJacobianError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

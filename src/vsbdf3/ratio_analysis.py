@@ -20,7 +20,7 @@ from operator import truediv
 import numpy as np
 
 from .bdf_kernels import _non_finite, bdf3_weights
-from .time_grid import DEFAULT_RATIO_THRESHOLD, TimeGrid, _checked_ratios
+from .time_grid import MAX_CERTIFIED_RATIO, TimeGrid, _checked_ratios
 
 __all__ = [
     "GAMMA",
@@ -53,8 +53,6 @@ KAPPA_MAX = 1.4
 # Certified bounds on tau_j * p_j.
 LAMBDA_MIN = 1.99
 LAMBDA_MAX = 3.99
-# Largest adjacent-step ratio the certificates cover.
-MAX_CERTIFIED_RATIO = DEFAULT_RATIO_THRESHOLD
 # Envelope constants at which sweep_lemma_bounds evaluates the transfer factor.
 SWEEP_KAPPAS = (KAPPA_MIN, 0.5, 1.0, KAPPA_MAX)
 # Most sweep points per axis; it bounds the sweep's time, about 0.5 us per box point.

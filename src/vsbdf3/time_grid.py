@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "DEFAULT_RATIO_THRESHOLD",
+    "MAX_CERTIFIED_RATIO",
     "TimeGrid",
     "build_uniform",
     "build_alternating",
@@ -29,8 +29,8 @@ __all__ = [
 ]
 
 # Largest adjacent-step ratio covered by the positive-definiteness
-# certification; random_bounded_grid keeps every ratio within it.
-DEFAULT_RATIO_THRESHOLD = 1.405
+# certification (ratio_analysis); random_bounded_grid keeps every ratio within it.
+MAX_CERTIFIED_RATIO = 1.405
 _DECODER = json.JSONDecoder(parse_int=float)  # so an integer too large for a float is inf
 
 
@@ -170,7 +170,7 @@ def random_bounded_grid(n: int, max_step: float, seed: int) -> TimeGrid:
     if n < 1:
         raise ValueError(f"step count must be >= 1, got {n}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    steps = rng.uniform(max_step / DEFAULT_RATIO_THRESHOLD, max_step, size=n)
+    steps = rng.uniform(max_step / MAX_CERTIFIED_RATIO, max_step, size=n)
     return TimeGrid(tuple(float(s) for s in steps))
 
 

@@ -18,7 +18,6 @@ from vsbdf3.allen_cahn import (
     SolverConfig,
     consistency_probe,
     default_energy_initial_data,
-    initial_state,
     levels,
 )
 from vsbdf3.bdf_kernels import apply_D3, assemble_B, kernel_weights
@@ -192,7 +191,7 @@ def test_criterion_08_energy_dissipation(capsys):
     grid = random_bounded_grid(200, 0.01, seed=8)
     cfg = SolverConfig(grid, op, eps2=0.16, forcing="none",
                        initial_data=default_energy_initial_data)
-    u0 = initial_state(cfg)
+    u0 = cfg.initial_state
     e0 = energy(op, u0, 0.16)
     bound = math.sqrt(4.0 * e0 / 0.16 + (2.0 + 0.16) * op.domain_area) + 1e-8
 

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import certified_grid, make_rng
 from vsbdf3.time_grid import (
-    DEFAULT_RATIO_THRESHOLD,
+    MAX_CERTIFIED_RATIO,
     TimeGrid,
     build_alternating,
     build_from_ratios,
@@ -122,7 +122,7 @@ def test_build_from_ratios_survives_long_decay_chains():
 
 
 def test_random_bounded_grid_keeps_ratios_in_band():
-    assert DEFAULT_RATIO_THRESHOLD == 1.405
+    assert MAX_CERTIFIED_RATIO == 1.405
     g = random_bounded_grid(200, 0.01, seed=7)
     assert max(g.steps) <= 0.01 + 1e-15
     r = np.asarray(g.ratios)
