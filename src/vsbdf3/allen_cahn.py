@@ -41,7 +41,7 @@ import numpy as np
 from .bdf_kernels import apply_D3, kernel_weights
 from .ratio_analysis import GAMMA
 from .spectral import SpectralOperator, energy, l2_norm
-from .time_grid import TimeGrid, _ro
+from .time_grid import TimeGrid, _ro, _setstate_ro
 
 __all__ = [
     "NEWTON_TOL",
@@ -98,7 +98,7 @@ _INNER_MAX_ITER = 500
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverConfig:
     """Immutable description of one integration run."""
 
@@ -107,6 +107,7 @@ class SolverConfig:
     eps2: float
     forcing: str = "manufactured"
     initial_data: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    __setstate__ = _setstate_ro
 
     def __post_init__(self):
         if self.forcing not in ("manufactured", "none"):
@@ -156,25 +157,21 @@ class StepDiagnostics:
         return len(self.inner_iterations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
     """Final field, per-level diagnostics and energies of one run.
 
-    final_state is the read-only field at the grid's level N; energies holds
-    the discrete free energy at levels 0..N (unforced runs only, None
-    otherwise); final_error is the discrete L2 error of final_state against
-    the exact solution (manufactured runs only, None otherwise).
+    final_state is the read-only field at the grid's level N; energies holds,
+    read-only, the discrete free energy at levels 0..N (unforced runs only,
+    None otherwise); final_error is the discrete L2 error of final_state
+    against the exact solution (manufactured runs only, None otherwise).
     """
 
     final_state: np.ndarray
     diagnostics: tuple[StepDiagnostics, ...]
     energies: np.ndarray | None
     final_error: float | None = None
-
-    def __setstate__(self, state):
-        # numpy does not pickle the writeable flag
-        self.__dict__.update(state)
-        _ro(self.final_state)
+    __setstate__ = _setstate_ro
 
 
 def exact_solution(x, y, t):
@@ -312,7 +309,7 @@ def run(config: SolverConfig) -> RunResult:
     error = None
     if not unforced and config.initial_data is None:
         error = l2_norm(op, state - exact_solution(*op.mesh, float(config.grid.levels[-1])))
-    return RunResult(state, tuple(diagnostics), np.asarray(energies) if unforced else None, error)
+    return RunResult(state, tuple(diagnostics), _ro(np.array(energies)) if unforced else None, error)
 
 
 def check_solvability(b0: float) -> bool:

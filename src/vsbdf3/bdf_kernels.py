@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelMatrices:
     """Kernel matrix B and its step-scaled symmetrization A, read-only.
 

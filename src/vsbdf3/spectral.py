@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .time_grid import _ro
+from .time_grid import _ro, _setstate_ro
 
 __all__ = [
     "SpectralOperator",
@@ -55,14 +55,15 @@ __all__ = [
 _MAX_DIAGONALISATION_ERROR = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralOperator:
     """Discrete Laplacian, its shifted inverse and quadrature on the unknowns.
 
     nodes are the 1-D unknown coordinates and d1/d2 the 1-D first- and
     second-derivative matrices, all shared by both axes, and w holds the
-    area quadrature weight of each unknown.  Arrays are read-only.  The
-    methods take and return row-major flattened fields.
+    area quadrature weight of each unknown.  Arrays are read-only, also in
+    copies, and operators compare by identity.  The methods take and return
+    row-major flattened fields.
     """
 
     nodes: np.ndarray
@@ -71,9 +72,10 @@ class SpectralOperator:
     w: np.ndarray
     # fast diagonalisation of d2: eigenvectors, their inverse, and the
     # eigenvalue sums lambda_i + lambda_j of L in the basis V (x) V
-    _vecs: np.ndarray = field(init=False, repr=False, compare=False)
-    _vecs_inv: np.ndarray = field(init=False, repr=False, compare=False)
-    _eig_sums: np.ndarray = field(init=False, repr=False, compare=False)
+    _vecs: np.ndarray = field(init=False, repr=False)
+    _vecs_inv: np.ndarray = field(init=False, repr=False)
+    _eig_sums: np.ndarray = field(init=False, repr=False)
+    __setstate__ = _setstate_ro
 
     def __post_init__(self):
         d2 = self.d2
@@ -86,9 +88,9 @@ class SpectralOperator:
             lam, vecs = np.linalg.eig(d2)
             if np.max(np.abs(lam.imag)) > 1e-10 * np.max(np.abs(lam.real)):
                 raise ValueError("d2 has a complex spectrum; fast diagonalisation needs a real one")
-            vecs, lam = vecs.real, lam.real
+            vecs, lam = vecs.real.copy(), lam.real  # np.dot copies a strided V per call
             vecs_inv = np.linalg.inv(vecs)
-        err = np.max(np.abs((vecs * lam) @ vecs_inv - d2)) / np.max(np.abs(d2))
+        err = np.max(np.abs(np.dot(vecs * lam, vecs_inv) - d2)) / np.max(np.abs(d2))
         if not err <= _MAX_DIAGONALISATION_ERROR:
             raise ValueError(f"fast diagonalisation of d2 is inaccurate: V diag(lambda) V^-1 "
                              f"has relative error {err:.1e}")
@@ -120,8 +122,8 @@ class SpectralOperator:
         """The map r -> (sigma*I - eps2*L)^{-1} r by fast diagonalisation."""
         V, Vinv = self._vecs, self._vecs_inv
         diagonal = sigma - eps2 * self._eig_sums  # formed once, read by every solve
-        return lambda r: (np.dot(V, np.dot(np.dot(Vinv, r.reshape(V.shape)), Vinv.T) / diagonal)
-                          @ V.T).ravel()  # stays @: np.dot rounds otherwise on eig's strided V
+        return lambda r: np.dot(np.dot(V, np.dot(np.dot(Vinv, r.reshape(V.shape)), Vinv.T) / diagonal),
+                                V.T).ravel()
 
     # dense k^2 x k^2 oracles, built on first access
 

@@ -34,11 +34,27 @@ MAX_CERTIFIED_RATIO = 1.405
 _DECODER = json.JSONDecoder(parse_int=float)  # so an integer too large for a float is inf
 
 
+def _ro(a: np.ndarray) -> np.ndarray:
+    """Mark an array read-only and return it."""
+    a.flags.writeable = False
+    return a
+
+
+def _setstate_ro(self, state: dict) -> None:
+    """__setstate__ that re-freezes the arrays, also those in tuples; pickle drops the flag."""
+    self.__dict__.update(state)
+    for value in state.values():
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                _ro(a)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Time levels 0 = t_0 < t_1 < ... < t_N, stored as steps tau_k = t_k - t_{k-1}."""
 
     steps: tuple[float, ...]
+    __setstate__ = _setstate_ro
 
     def __post_init__(self):
         if len(self.steps) == 0:
@@ -214,9 +230,3 @@ def _checked_ratios(ratios) -> np.ndarray:
     if np.any(~np.isfinite(ratios)) or np.any(ratios <= 0.0):
         raise ValueError("ratios must be positive and finite")
     return ratios
-
-
-def _ro(a: np.ndarray) -> np.ndarray:
-    """Mark an array read-only and return it."""
-    a.flags.writeable = False
-    return a

@@ -7,8 +7,9 @@ for bit, and use it where a check over many large grids would be slow.
 
 laplacian_matmul and shifted_inverse_matmul write the operator's tensor
 products with @, the matmul ufunc.  The package calls the same BLAS
-routines through np.dot, which dispatches faster, and must give the same
-bits.
+routines through np.dot, which dispatches faster, in every product, and
+must give the same bits; it stores the Chebyshev eigenvectors contiguous,
+because on eig's strided real view np.dot rounds otherwise than @.
 """
 
 import numpy as np

@@ -31,7 +31,7 @@ from vsbdf3.allen_cahn import (
     run,
     step,
 )
-from vsbdf3.bdf_kernels import apply_D3, bdf3_weights, kernel_weights
+from vsbdf3.bdf_kernels import apply_D3, assemble_B, bdf3_weights, kernel_weights
 from vsbdf3.spectral import chebyshev_operator, energy, fourier_operator, l2_norm
 from vsbdf3.time_grid import build_from_steps, build_random, build_uniform, random_bounded_grid
 
@@ -130,10 +130,56 @@ def test_run_results_survive_pickling(op, forcing_mode):
         assert back.energies is None and back.final_error == res.final_error
     else:
         assert np.array_equal(back.energies, res.energies) and back.final_error is None
+        assert not res.energies.flags.writeable and not back.energies.flags.writeable
+        assert not copy.deepcopy(res).energies.flags.writeable
     diag = back.diagnostics[-1]
     assert not hasattr(diag, "__dict__")
     with pytest.raises(FrozenInstanceError):
         diag.b0 = 2.0
+
+
+def _arrays(obj) -> list:
+    """Every array reachable from obj through instance attributes and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, tuple):
+        return [a for item in obj for a in _arrays(item)]
+    return [a for item in getattr(obj, "__dict__", {}).values() for a in _arrays(item)]
+
+
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_copies_keep_every_array_read_only(clone):
+    # numpy does not pickle the writeable flag; a worker process handed an
+    # operator, a grid or a configuration must get the same read-only arrays,
+    # the cached ones included
+    cheb, four, grid = chebyshev_operator(6), fourier_operator(4), build_uniform(4, 0.04)
+    for op in (cheb, four):
+        op.mesh, op.L
+    grid.levels
+    config = SolverConfig(grid, four, 0.16, forcing="none")
+    config.kernel_weights, config.initial_state
+    # an operator's 7 arrays, mesh's 2 and L; the grid's levels; a config's
+    # operator and grid and its own 2
+    for obj, count in ((cheb, 10), (four, 10), (grid, 1), (config, 13)):
+        arrays, back = _arrays(obj), _arrays(clone(obj))
+        assert len(back) == len(arrays) == count
+        assert all(np.array_equal(b, a) for b, a in zip(back, arrays))
+        assert not any(b.flags.writeable for b in back)
+    r = make_rng(3).standard_normal(cheb.n_unknowns)
+    assert np.array_equal(clone(cheb).shifted_inverse(1.5, 0.16)(r),
+                          cheb.shifted_inverse(1.5, 0.16)(r))
+
+
+def test_records_holding_arrays_compare_and_hash_by_identity():
+    # a generated == would compare the arrays and raise, and hash would hash them
+    op = fourier_operator(4)
+    config = SolverConfig(build_uniform(4, 0.04), op, 0.16, forcing="none")
+    assert len({op, config, op}) == 2
+    assert op == op and op != fourier_operator(4)
+    assert config == config and config != replace(config)
+    assert run(config) != run(config)
+    assert assemble_B(config.grid) != assemble_B(config.grid)
 
 
 def test_only_unforced_runs_evaluate_the_energy(monkeypatch):
@@ -348,8 +394,8 @@ def test_random_grid_keeps_its_per_level_solver_counts(eps2, counts):
     (0.36, "7f38b23b3adea7ccc726dcb17b96bdd05d0e778db8b5f779848e7cd8eb34f782"),
 ])
 def test_random_grid_final_field_bytes_are_pinned(eps2, sha256):
-    # the Chebyshev solver bit for bit: its eigenvectors are eig's strided
-    # real view, on which np.dot and @ round differently
+    # the Chebyshev solver bit for bit, through every np.dot product of the
+    # fast-diagonalisation solve on eig's eigenvectors, stored contiguous
     res = run(SolverConfig(build_random(80, 1.0, 83), chebyshev_operator(20), eps2))
     assert hashlib.sha256(res.final_state.tobytes()).hexdigest() == sha256
 

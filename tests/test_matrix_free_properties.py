@@ -48,8 +48,9 @@ def test_tensor_laplacian_and_gradient_match_dense_oracles(op, seed):
                  st.integers(min_value=2, max_value=16).map(lambda h: fourier_operator(2 * h))),
        seeds, st.floats(min_value=1e-3, max_value=1e7), st.floats(min_value=1e-3, max_value=1.0))
 def test_np_dot_products_equal_the_matmul_forms_bit_for_bit(op, seed, sigma, eps2):
-    # on Chebyshev operators the eigenvectors are the strided real part of
-    # eig's complex result; there np.dot(X, V.T) rounds otherwise than X @ V.T
+    # every product of the Laplacian and of the solve; the Chebyshev
+    # eigenvectors are a contiguous copy of eig's real part, since on the
+    # strided view np.dot(X, V.T) rounds otherwise than X @ V.T
     r = _field(seed, op.n_unknowns)
     assert np.array_equal(op.laplacian(r), laplacian_matmul(op, r))
     assert np.array_equal(op.shifted_inverse(sigma, eps2)(r),

@@ -131,6 +131,13 @@ def test_operator_rejects_a_complex_second_derivative_spectrum():
         SpectralOperator(nodes, np.eye(2), rot, np.ones(4))
 
 
+@pytest.mark.parametrize("m", [3, 8, 20, 24])
+def test_chebyshev_eigenvectors_are_stored_contiguous(m):
+    # on eig's strided real view np.dot would copy V every solve and round
+    # otherwise than @
+    assert chebyshev_operator(m)._vecs.flags.c_contiguous
+
+
 def test_operator_rejects_an_inaccurate_diagonalisation():
     # a Jordan block has one eigenvector: eig returns a singular V
     jordan = np.array([[-2.0, 1.0], [0.0, -2.0]])
