@@ -564,3 +564,107 @@ def test_quiet_flag_suppresses_progress(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     main(["ratio-figure", "--ratio", "1.2", "--length", "10", "--out", str(out)])
     assert capsys.readouterr().out != ""
+
+
+# ---------------------------------------------------------------------------
+# the canonical outputs, pinned by sha256
+
+
+def _grid_json(steps):
+    return json.dumps({"T": math.fsum(steps), "steps": steps})
+
+
+# Grid files the pinned commands read: ratios alternating 1.4 and 1/1.4
+# (certified), a constant ratio 1.732 (not certified), and steps of five
+# sizes, all multiples of 1/64 (the kernels dump).
+_PIN_GRIDS = {
+    "certified.json": _grid_json([0.1 * 1.4 ** (k % 2) for k in range(30)]),
+    "failing.json": _grid_json([1.732 ** k for k in range(40)]),
+    "kernels.json": _grid_json([(3 + 7 * k % 5) / 64 for k in range(24)]),
+}
+_CONV = ["convergence", "--eps2", "0.16,0.36", "--n", "20,40,80,160", "--m", "20"]
+_CONV_RANDOM = [*_CONV, "--case", "2", "--format", "json", "--out", "conv.json", "--seed"]
+_ENERGY = ["energy", "--eps2", "0.16", "--tau", "0.01", "--steps", "200", "--out", "energy.csv"]
+_PINNED = {
+    # name: (argv, exit code, sha256 of stdout and of each file written)
+    "conv-random-seed1": ([*_CONV_RANDOM, "1"], 0, {
+        "conv_eps2_0.16.json": "a69f1b845ceaca464e1582ea1b0337abdfdfa01d2045a6c73c35b06eee39369e",
+        "conv_eps2_0.36.json": "63b42c23bc2242bab50e5fa693e023081a4f019c405d9b6e3f81774f420df92f",
+        "stdout": "a10364ea9b0bc564f4a67bfb5dc2e799e96f1fd75c1364eb830455f801ca8c34",
+    }),
+    "conv-random-seed2": ([*_CONV_RANDOM, "2"], 0, {
+        "conv_eps2_0.16.json": "a3e38fafd60d64cd22e91bcf60a5a1ef4dda448fa1f431e856a3d36d09be8752",
+        "conv_eps2_0.36.json": "c576877442531e9e14328bf2e8adae277e553edb31732f0b1e75121c93275e1d",
+        "stdout": "1a0a47b0eb2636505aaa3c0d82ecaf5e10d63d1a0a84e150a69af8887c7f7640",
+    }),
+    "conv-random-seed3": ([*_CONV_RANDOM, "3"], 0, {
+        "conv_eps2_0.16.json": "871dff75c7dc017c662f46cb6b1bb27cc133477d4b92b1d50abb1936a6cdd1d1",
+        "conv_eps2_0.36.json": "9a022df855f2c398ce0279c98379abd719b615655a48481fb356a6d19b3a5e46",
+        "stdout": "2a6051de0792dac4fb46b9756a241ba2b7049568c6a76455c25b5065d2104625",
+    }),
+    "case1": ([*_CONV, "--case", "1", "--out", "case1.csv"], 0, {
+        "case1_eps2_0.16.csv": "e669fedd11a54251f1d4be2c63c068e26fb09ee1a38a86e2ff06f576b37bd0d2",
+        "case1_eps2_0.36.csv": "b25336c87fae93ee3a8099b9b362f52ce942657f0e953d15436150828c8134cd",
+        "stdout": "4b40c3805f3aefe312e4f94820380ff02a0469db569b7cedca1537f1acc1512a",
+    }),
+    "uniform": ([*_CONV, "--case", "uniform", "--out", "uniform.csv"], 0, {
+        "uniform_eps2_0.16.csv": "5bbac177ec443176413a4385968f8751e266d15ca6be86d2142aaa423d92aaf3",
+        "uniform_eps2_0.36.csv": "a6d9ddf10d03ec5f09909f7588b6d8b87e1eaefd066d36dd7176b202f5e88a98",
+        "stdout": "657225dd287082d0aaba7d8e2d4fee11f9b951056b5dadeb9afdd548b427281d",
+    }),
+    "energy-seed2": ([*_ENERGY, "--seed", "2"], 0, {
+        "energy.csv": "d458da22077b3da0bfe97f3e1b38775293df4ea5c4873002f8cdb8c7dc7439ca",
+        "stdout": "4317118275edffffae9e63e6a6b8bc5340c210f77fb0cbddd9fa3ebcbddd8510",
+    }),
+    "energy-seed3": ([*_ENERGY, "--seed", "3"], 0, {
+        "energy.csv": "cc642fb0900ea7a35447c498cb6dafec3d22215fba272c9be0c662ccdacd0668",
+        "stdout": "4317118275edffffae9e63e6a6b8bc5340c210f77fb0cbddd9fa3ebcbddd8510",
+    }),
+    "energy-seed1-m64": ([*_ENERGY, "--seed", "1", "--m", "64"], 0, {
+        "energy.csv": "24a9f4dda636df01df16c6f6bd2be15689f395f2c92f51388192b76925c8a626",
+        "stdout": "4317118275edffffae9e63e6a6b8bc5340c210f77fb0cbddd9fa3ebcbddd8510",
+    }),
+    "kernels": (["kernels", "--grid", "kernels.json", "--out", "mats"], 0, {
+        "mats/A.csv": "484520e691c3aab4b4cbb660c9911e301582ae14efd9b78954c79b0974962056",
+        "mats/B.csv": "81ca78ce33e76b4e7d24a873062c0a021db9f46c26c62c7a89e836a4ec59ff46",
+        "mats/D.csv": "d151de1f8d7befabd527666413d0814fd838f5ef114c1c5f45995e65f861353c",
+        "stdout": "efd7709df3e5c00fcd6b38d672e1a4820c7b695c03f4967ba5784d84de9438fd",
+    }),
+    "consistency": (["consistency", "--function", "sin", "--levels", "10,20,40,80",
+                     "--out", "eta.csv"], 0, {
+        "eta.csv": "3460b26d90d899c255130779f58bfb9ec0ecbf2c177383f94237cab0c8961b25",
+        "stdout": "3d5ce48d8ec02ab2faf41f7d93b8b47e10f0a8e98a364d461a2104840589e20c",
+    }),
+    "certify-certified": (["certify", "--grid", "certified.json"], 0, {
+        "stdout": "ea932ead49f5a4547abbc29aa0b0ef92bff467f10f51a00a526c651692d10674",
+    }),
+    "certify-failing": (["certify", "--grid", "failing.json"], 1, {
+        "stdout": "b4663daeeb180478b44879165c5afba147490f62532c4aaa739aa055efc93a88",
+    }),
+    "validate-lemmas-1.405": (["validate-lemmas", "--resolution", "1.405"], 0, {
+        "stdout": "3428b8d9b75e09f9565126c6d2a8319fa626d61aff1d67584870c78fe172a161",
+    }),
+    "validate-lemmas-0.05": (["validate-lemmas", "--resolution", "0.05"], 0, {
+        "stdout": "eea1cead3a4fa8344b45ea81b14999d3846d439a1bb90f2079950d72e63f559f",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", _PINNED)
+def test_canonical_outputs_are_pinned(tmp_path, capsys, monkeypatch, name):
+    """Every canonical command's stdout and files, byte for byte.
+
+    The hashes assume numpy 2.4.6 and the OpenBLAS 0.3.31 its wheels bundle;
+    another numpy or BLAS may round the solver's products differently.  A
+    change that moves a byte updates this table and says why in CHANGES.md.
+    """
+    argv, code, digests = _PINNED[name]
+    monkeypatch.chdir(tmp_path)  # so the paths the commands print are relative
+    for grid, text in _PIN_GRIDS.items():
+        (tmp_path / grid).write_text(text)
+    capsys.readouterr()
+    assert main(argv) == code
+    written = {p.relative_to(tmp_path).as_posix(): p.read_bytes() for p in tmp_path.rglob("*")
+               if p.is_file() and p.name not in _PIN_GRIDS}
+    written["stdout"] = capsys.readouterr().out.encode()
+    assert {key: hashlib.sha256(data).hexdigest() for key, data in written.items()} == digests
