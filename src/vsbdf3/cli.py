@@ -243,28 +243,22 @@ def cmd_kernels(args) -> int:
         raise ValueError(f"kernels needs a grid of at most {_KERNELS_MAX_STEPS} steps, "
                          f"got {grid.n_steps}")
     b = kernel_weights(grid).tolist()
+    # a non-finite inverse kernel raises here, before anything is created
+    for _ in inverse_kernel_rows(b):
+        pass
     root = [math.sqrt(t) for t in grid.steps]
     out = Path(args.out)
-    made = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    paths = [out / f"{name}.csv" for name in "BAD"]
-    try:
-        with open(paths[0], "w") as fb, open(paths[1], "w") as fa, open(paths[2], "w") as fd:
-            for f in (fb, fa, fd):
-                f.write("row,col,value\n")
-            for i, d in enumerate(inverse_kernel_rows(b), start=1):
-                # b_{i, i-j} for the banded columns j = i-2..i
-                band = [(j, b[i - 1][i - j]) for j in range(max(1, i - 2), i + 1)]
-                fb.writelines(f"{i},{j},{v!r}\n" for j, v in band)
-                fa.writelines(f"{i},{j},{root[i - 1] * v * root[j - 1]!r}\n" for j, v in band)
-                fd.writelines(f"{i},{j},{v!r}\n" for j, v in enumerate(d, start=1))
-    except ValueError:
-        # a non-finite inverse kernel: leave no partial dump behind
-        for path in paths:
-            path.unlink()
-        for path in made:
-            path.rmdir()
-        raise
+    with open(out / "B.csv", "w") as fb, open(out / "A.csv", "w") as fa, \
+            open(out / "D.csv", "w") as fd:
+        for f in (fb, fa, fd):
+            f.write("row,col,value\n")
+        for i, d in enumerate(inverse_kernel_rows(b), start=1):
+            # b_{i, i-j} for the banded columns j = i-2..i
+            band = [(j, b[i - 1][i - j]) for j in range(max(1, i - 2), i + 1)]
+            fb.writelines(f"{i},{j},{v!r}\n" for j, v in band)
+            fa.writelines(f"{i},{j},{root[i - 1] * v * root[j - 1]!r}\n" for j, v in band)
+            fd.writelines(f"{i},{j},{v!r}\n" for j, v in enumerate(d, start=1))
     print(f"wrote B.csv, A.csv, D.csv to {out}")
     return 0
 

@@ -178,12 +178,12 @@ def test_criterion_07_certificate_bound_sweep(capsys):
     ok = (res.passed
           and res.transfer_min >= 1.0 - 1e-12 and res.transfer_max <= 2.7 + 1e-12
           and res.subdiag_max <= 1e-12
-          and res.pivot_lower_scaled_min >= -1e-9
-          and res.pivot_upper_scaled_max <= 1e-9)
+          and res.pivot_lower_min >= -1e-9
+          and res.pivot_upper_max <= 1e-9)
     _report(capsys, 7, "certificate bound sweep", ok,
             f"transfer [{res.transfer_min:.6f}, {res.transfer_max:.6f}], "
-            f"subdiag max {res.subdiag_max:.2e}, scaled pivots "
-            f"[{res.pivot_lower_scaled_min:.2e}, {res.pivot_upper_scaled_max:.2e}]")
+            f"subdiag max {res.subdiag_max:.2e}, pivot lower min "
+            f"{res.pivot_lower_min:.2e}, pivot upper max {res.pivot_upper_max:.2e}")
 
 
 def test_criterion_08_energy_dissipation(capsys):

@@ -513,18 +513,25 @@ def test_kernels_refuses_non_finite_inverse_kernels(tmp_path, capsys):
                           tmp_path / "g.json")
     kept = tmp_path / "kept"
     kept.mkdir()
+    # a directory that holds an earlier dump keeps it byte for byte
+    prior = tmp_path / "prior"
+    assert main(["--quiet", "kernels", "--grid", str(save_grid(build_uniform(5, 1.0),
+                 tmp_path / "good.json")), "--out", str(prior)]) == 0
+    dump = {path.name: path.read_bytes() for path in prior.iterdir()}
+    assert sorted(dump) == ["A.csv", "B.csv", "D.csv"]
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for outdir in (tmp_path / "new" / "mats", kept):
+        for outdir in (tmp_path / "new" / "mats", kept, prior):
             assert main(["--quiet", "kernels", "--grid", str(grid_path),
                          "--out", str(outdir)]) == 2
             assert capsys.readouterr().err == (
                 "error: level 112: the kernel weights give a non-finite inverse kernel "
                 "D[112,1] = nan\n")
-    # no partial dump: the directories the command made are gone as well
+    # the command fails before it creates a directory or opens a file
     assert not (tmp_path / "new").exists()
     assert list(kept.iterdir()) == []
+    assert {path.name: path.read_bytes() for path in prior.iterdir()} == dump
 
 
 def test_kernels_refuses_grids_too_large_to_dump(tmp_path, capsys):

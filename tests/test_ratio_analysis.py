@@ -22,7 +22,6 @@ from vsbdf3.ratio_analysis import (
     certify_positive_definite,
     envelope_transfer_factor,
     generating_function,
-    pivot_certificate_scales,
     pivot_lower_certificate,
     pivot_upper_certificate,
     subdiagonal_certificate,
@@ -208,9 +207,10 @@ def test_lemma_functions_hand_values():
     assert envelope_transfer_factor(0.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
     assert pivot_upper_certificate(0.0, 0.0) == pytest.approx(-2.0, abs=1e-14)
     assert subdiagonal_certificate(1.0, 0.0) == pytest.approx(-0.5, abs=1e-14)
-    # the lower pivot certificate vanishes when the incoming ratio is zero
-    scales = pivot_certificate_scales(0.0, 0.7)
-    assert abs(pivot_lower_certificate(0.0, 0.7)) <= 1e-12 * scales[0]
+    # the lower pivot certificate vanishes when the incoming ratio is zero;
+    # it samples as rounding there, the exact zero that the sweep's 1e-9 allows for
+    y = np.linspace(0.0, MAX_CERTIFIED_RATIO, 20_001)
+    assert np.abs(pivot_lower_certificate(0.0, y)).max() <= 1e-12
 
 
 def test_pivot_certificate_follows_gamma(monkeypatch):
@@ -233,8 +233,8 @@ def test_quick_lemma_sweep_passes_at_coarse_resolution():
     assert res.transfer_min >= 1.0 - 1e-12
     assert res.transfer_max <= 2.7 + 1e-12
     assert res.subdiag_max <= 1e-12
-    assert res.pivot_lower_scaled_min >= -1e-9
-    assert res.pivot_upper_scaled_max <= 1e-9
+    assert res.pivot_lower_min >= -1e-9
+    assert res.pivot_upper_max <= 1e-9
 
 
 def test_blocked_sweep_equals_a_full_box_evaluation():
@@ -247,14 +247,11 @@ def test_blocked_sweep_equals_a_full_box_evaluation():
     t = np.stack([envelope_transfer_factor(x, y, kappa) for kappa in SWEEP_KAPPAS])
     s = subdiagonal_certificate(x, y)
     lo, hi = pivot_lower_certificate(x, y), pivot_upper_certificate(x, y)
-    lo_scale, hi_scale = pivot_certificate_scales(x, y)
     want = {
         "transfer_min": t.min(), "transfer_max": t.max(),
         "subdiag_min": s.min(), "subdiag_max": s.max(),
         "pivot_lower_min": lo.min(), "pivot_lower_max": lo.max(),
         "pivot_upper_min": hi.min(), "pivot_upper_max": hi.max(),
-        "pivot_lower_scaled_min": (lo / lo_scale).min(),
-        "pivot_upper_scaled_max": (hi / hi_scale).max(),
     }
     for name, value in want.items():
         got = getattr(res, name)
