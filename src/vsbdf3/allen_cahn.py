@@ -220,7 +220,7 @@ def step(config: SolverConfig, history, n: int) -> tuple[np.ndarray, StepDiagnos
     while True:
         res = b0 * u - eps2 * op.laplacian(u) + u * u * u - u - rhs  # u**3 calls libm pow
         res_norm = float(np.abs(res).max())
-        if res_norm <= tol:
+        if res_norm <= tol < math.inf:  # an overflowed rhs gives tol = inf
             break
         # a NaN residual, or one whose 2-norm overflows, raises here; vdot is @ without its warning
         beta = math.sqrt(float(np.vdot(res, res)))

@@ -103,11 +103,14 @@ def run_convergence(case, eps2_list, n_list, m, seed=None):
         raise ValueError("case 2 needs a seed")
     operator = chebyshev_operator(m)
     grids = {n: _case_grid(case, n, seed) for n in n_list}
+    # every configuration is validated before the first solve
+    configs = [[SolverConfig(grid=grid, operator=operator, eps2=eps2) for grid in grids.values()]
+               for eps2 in eps2_list]
     reports = []
-    for eps2 in eps2_list:
+    for eps2, row_configs in zip(eps2_list, configs):
         rows, prev = [], None
-        for n, grid in grids.items():
-            err = run(SolverConfig(grid=grid, operator=operator, eps2=eps2)).final_error
+        for (n, grid), config in zip(grids.items(), row_configs):
+            err = run(config).final_error
             rate = None if prev is None else math.log(prev[1] / err) / math.log(n / prev[0])
             ratios = grid.ratios
             rows.append(ConvergenceRow(n, err, rate,

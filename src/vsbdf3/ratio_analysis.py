@@ -66,10 +66,9 @@ class SylvesterTrace:
     so both run over the same levels.  When a nonpositive pivot appears the
     recursion stops there: first_negative is its 1-based level and p/q end
     at that level.  They are those of A + A^T for the ratio-only trace, and of
-    B + B^T - 2*gamma*Lambda^{-1} for the shifted one, whose coupling envelopes
-    for j >= 3 are subdiagonal_envelopes(tau[2:], r[1:], r[:-1]).  The verdict
-    rests on the scale-free pivot; the pivot at the stop, brought back to B's
-    scale, can be +-inf when it leaves the float range there.
+    A + A^T - 2*gamma*I for the shifted one: the step-free tau_j p_j and
+    tau_j q_j / sqrt(r_j) of B + B^T - 2*gamma*Lambda^{-1}, which depend on the
+    step ratios alone.
     """
 
     p: tuple[float, ...]
@@ -81,16 +80,15 @@ class SylvesterTrace:
         return self.first_negative is None
 
 
-def _elimination(ratios, shift, steps=None):
+def _elimination(ratios, shift):
     """Pivots and couplings of the symmetric elimination of A + A^T - shift*I.
 
     Level n's row is 2*beta_0 - shift, a1 = beta_1 / sqrt(r_n), a2 = beta_2 /
     sqrt(r_n r_{n-1}), beta_k the weights at tau_n = 1: (1, 0, 0), then
-    bdf3_weights with r_1 = 0.  Given the steps, a pivot and coupling come back
-    divided by tau_n and tau_n / sqrt(r_n).  No level is read after the first
-    nonpositive pivot.  A level whose beta_k or row is not finite (a 0/0 from
-    ratios that underflowed to zero), or whose diagonal (2*beta_0 - shift) /
-    tau_n overflows, raises ValueError; a non-finite row gives a non-finite pivot.
+    bdf3_weights with r_1 = 0.  No level is read after the first nonpositive
+    pivot.  A level whose beta_k or row is not finite (a 0/0 from ratios that
+    underflowed to zero) raises ValueError; a non-finite row gives a
+    non-finite pivot.
     """
     p, q = [], []
     p1, p2, q1 = 1.0, 1.0, 0.0  # stand-ins before level 1, met by zero couplings
@@ -105,18 +103,14 @@ def _elimination(ratios, shift, steps=None):
         a2 = b2 / root2 if root2 else math.nan
         q1 = a1 - (q1 / p2) * a2
         p2, p1 = p1, diag - a2 * a2 / p2 - q1 * q1 / p1
-        t = 1.0 if steps is None else steps[n - 1]
-        if not (math.isfinite(p1) and math.isfinite(diag / t)):
+        if not math.isfinite(p1):
             if not (math.isfinite(b0) and math.isfinite(b1) and math.isfinite(b2)):
                 raise _non_finite(n, f"step ratio r_{n} = {r!r}", "beta_0, beta_1, beta_2",
                                   (b0, b1, b2))
             if not (math.isfinite(diag) and math.isfinite(a1) and math.isfinite(a2)):
                 raise _non_finite(n, f"step ratio r_{n} = {r!r}", "a0, a1, a2", (b0, a1, a2))
-            if not math.isfinite(diag / t):
-                raise _non_finite(n, f"step {t!r}", "shifted diagonal, b1, b2",
-                                  (diag / t, b1 / t, b2 / t))
-        p.append(p1 / t)
-        q.append(q1 if steps is None else q1 / (t / root1))
+        p.append(p1)
+        q.append(q1)
         if p1 <= 0.0:
             return tuple(p), tuple(q), n
     return tuple(p), tuple(q), None
@@ -161,13 +155,14 @@ def subdiagonal_envelopes(tau_j, r_j, r_jm1):
 def sylvester_trace_shifted(grid: TimeGrid) -> SylvesterTrace:
     """Pivot recursion for the gamma-shifted kernel matrix B - gamma*Lambda^{-1}.
 
-    One pass over the rows of the congruent A + A^T - 2*gamma*I, with the
-    grid's ratios computed lazily, that reads no level after the first
-    nonpositive pivot.  Its pivots tau_j p_j and couplings tau_j q_j / sqrt(r_j)
-    come back as p_j and q_j; a positive p_j is at most the unscaled diagonal.
+    The ratio trace with shift 2*gamma: one pass over the rows of the congruent
+    A + A^T - 2*gamma*I, with the grid's ratios computed lazily, that reads no
+    level after the first nonpositive pivot.  It returns the step-free pivots
+    tau_j p_j and couplings tau_j q_j / sqrt(r_j); a positive pivot is at most
+    the diagonal 2*beta_0 - 2*gamma.
     """
     tau = grid.steps
-    return SylvesterTrace(*_elimination(map(truediv, tau[1:], tau), 2.0 * GAMMA, tau))
+    return SylvesterTrace(*_elimination(map(truediv, tau[1:], tau), 2.0 * GAMMA))
 
 
 def certify_positive_definite(grid: TimeGrid) -> tuple[bool, SylvesterTrace]:

@@ -119,13 +119,14 @@ def test_criterion_04_pivot_envelopes_and_certification(capsys):
         mu, nu = subdiagonal_envelopes(np.asarray(tau[2:]), np.asarray(g.ratios[1:]),
                                        np.asarray(g.ratios[:-1]))
         for j in range(1, n + 1):
-            s = 1e-10 / tau[j - 1]
-            pj = tr.p[j - 1]
-            worst_env = max(worst_env, (LAMBDA_MIN / tau[j - 1] - s) - pj,
-                            pj - (LAMBDA_MAX / tau[j - 1] + s))
+            # the trace gives tau_j p_j, which the lemmas bound, and the
+            # coupling tau_j q_j / sqrt(r_j), brought back to B's scale here
+            tau_p = tr.p[j - 1]
+            worst_env = max(worst_env, (LAMBDA_MIN - 1e-10) - tau_p, tau_p - (LAMBDA_MAX + 1e-10))
             if j >= 3:
+                s = 1e-10 / tau[j - 1]
                 b1 = b[j - 1, 1]
-                qj = tr.q[j - 1]
+                qj = tr.q[j - 1] * math.sqrt(g.ratios[j - 2]) / tau[j - 1]
                 lo = b1 + mu[j - 3]
                 hi = b1 + nu[j - 3]
                 worst_env = max(worst_env, lo - s - qj, qj - (hi + s), hi - s)

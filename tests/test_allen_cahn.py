@@ -102,6 +102,19 @@ def test_residual_whose_two_norm_overflows_is_a_divergence():
     assert math.isfinite(info.value.residual)
 
 
+def test_overflowed_forcing_is_a_divergence_not_convergence():
+    # at t = 1e26 the manufactured forcing overflows, so the rhs, the
+    # rounding floor 4*eps*|rhs| and the residual are all infinite; an
+    # infinite tolerance must not pass an infinite residual as converged.
+    # Numpy's overflow warnings are off here, as they are by default outside
+    # this suite, so the solver itself has to refuse the level.
+    cfg = SolverConfig(build_uniform(1, 1e26), chebyshev_operator(4), 0.16)
+    with np.errstate(all="ignore"), pytest.raises(NewtonDivergenceError) as info:
+        run(cfg)
+    assert (info.value.level, info.value.residual) == (1, math.inf)
+    assert str(info.value) == "Newton did not converge at level 1: residual inf after 0 iterations"
+
+
 @pytest.mark.parametrize("exc", [NewtonDivergenceError(3, 1e5, 50), SingularJacobianError(4)],
                          ids=["divergence", "singular"])
 def test_solver_errors_survive_pickling(exc):

@@ -117,6 +117,21 @@ def test_convergence_refuses_eps2_values_sharing_a_file_name(tmp_path, capsys, m
     assert list(tmp_path.iterdir()) == []
 
 
+def test_convergence_refuses_a_bad_eps2_before_any_solve(tmp_path, capsys, monkeypatch):
+    # every (eps2, N) configuration is checked before the first solve, so a
+    # bad value late in the list costs no solve of the good ones
+    solved, solve = [], cli.run
+    monkeypatch.setattr(cli, "run", lambda config: solved.append(config.eps2) or solve(config))
+    argv = ["--quiet", "convergence", "--case", "1", "--n", "20,40", "--m", "8",
+            "--out", str(tmp_path / "t.csv")]
+    assert main([*argv, "--eps2", "0.16,nan"]) == 2
+    assert solved == []
+    assert capsys.readouterr().err == "error: eps2 must be positive and finite, got nan\n"
+    assert list(tmp_path.iterdir()) == []
+    assert main([*argv, "--eps2", "0.16"]) == 0
+    assert solved == [0.16, 0.16]
+
+
 def test_convergence_case_two_without_seed_exits_2():
     assert main(["--quiet", "convergence", "--case", "2"]) == 2
 
@@ -172,7 +187,8 @@ def test_certify_exit_codes(tmp_path, capsys):
     # the ratio 1e300 overflows the closed-form weights
     overflow = tmp_path / "overflow.json"
     overflow.write_text('{"T": 2e150, "steps": [1e-150, 1e-150, 1e150, 1e150]}')
-    # a subnormal step overflows the shifted diagonal 2*(beta_0 - gamma)/tau
+    # a subnormal step overflows b0 = 1/tau, which kernels dumps and the
+    # step-free certificate never forms
     subnormal = tmp_path / "subnormal.json"
     subnormal.write_text('{"T": 1.0, "steps": [0.5, 0.5, 1e-320]}')
     boolean = tmp_path / "boolean.json"
@@ -187,7 +203,7 @@ def test_certify_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for path in (negative, not_json, nan_horizon, overflow, subnormal, boolean, strings,
+        for path in (negative, not_json, nan_horizon, overflow, boolean, strings,
                      huge_horizon, huge_step):
             assert main(["--quiet", "certify", "--grid", str(path)]) == 2
             assert main(["--quiet", "kernels", "--grid", str(path),
@@ -195,10 +211,15 @@ def test_certify_exit_codes(tmp_path, capsys):
             assert not (tmp_path / "mats").exists()
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 2 and all(line.startswith("error: ") for line in err)
-        assert main(["--quiet", "certify", "--grid", str(subnormal)]) == 2
+        assert main(["--quiet", "kernels", "--grid", str(subnormal),
+                     "--out", str(tmp_path / "mats")]) == 2
+        assert not (tmp_path / "mats").exists()
         assert capsys.readouterr().err == (
             "error: level 3: step 1e-320 gives non-finite kernel weights "
-            "shifted diagonal, b1, b2 = inf, -0.0, 0.0\n")
+            "b0, b1, b2 = inf, -0.0, 0.0\n")
+        assert main(["certify", "--grid", str(subnormal)]) == 0
+        assert capsys.readouterr() == ("grid: 3 steps, horizon 1, max ratio 1.0\n"
+                                       "certified: all pivots positive\n", "")
         # a ratio, or the product of two, that underflows to zero makes the
         # scaled coupling beta_k / sqrt(ratios) a 0/0 (the kernels command,
         # which divides by no ratio, still builds these grids)
@@ -466,6 +487,22 @@ def test_negative_seed_is_refused_while_parsing(capsys, monkeypatch, command, se
     assert info.value.code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert errors == [f"vsbdf3 {command}: error: --seed must be non-negative, got {seed}"]
+
+
+def test_certify_decides_a_grid_of_one_tiny_step(tmp_path, capsys):
+    # the verdict rests on the step ratios alone, so a step whose shifted
+    # diagonal (2*beta_0 - 2*gamma) / tau overflows still gets one, and
+    # kernels dumps the same grid, whose b0 = 1/tau is finite
+    path = tmp_path / "tiny.json"
+    path.write_text('{"T": 1e-308, "steps": [1e-308]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", "--grid", str(path)]) == 0
+        assert capsys.readouterr() == ("grid: 1 steps, horizon 1e-308, max ratio None\n"
+                                       "certified: all pivots positive\n", "")
+        assert main(["--quiet", "kernels", "--grid", str(path),
+                     "--out", str(tmp_path / "mats")]) == 0
+    assert (tmp_path / "mats" / "B.csv").read_text() == "row,col,value\n1,1,1e+308\n"
 
 
 def test_kernels_dump(tmp_path):

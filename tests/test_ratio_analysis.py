@@ -107,14 +107,14 @@ def test_shifted_trace_uniform_hand_values():
 
 
 def test_shifted_diagonal_is_doubled_and_shifted_leading_weight():
-    # the recursion's diagonal entries must equal 2*b0 - 2*gamma/tau at
-    # every level; spot-check through p_1 and the level structure
+    # the recursion's diagonal entries must equal the step-free 2*beta_0 -
+    # 2*gamma at every level; spot-check through tau_1 p_1 and the level structure
     rng = make_rng(1)
     for _ in range(50):
         g = certified_grid(rng, int(rng.integers(1, 30)))
         tr = sylvester_trace_shifted(g)
         b0 = kernel_weights(g)[0, 0]
-        want = 2 * b0 - 2 * GAMMA / g.step(1)
+        want = 2 * b0 * g.step(1) - 2 * GAMMA
         assert tr.p[0] == pytest.approx(want, rel=1e-13)
 
 
@@ -168,30 +168,30 @@ def test_certification_rejects_steep_chain():
     assert tr.first_negative == 30
 
 
-def test_pivot_at_the_stop_may_leave_the_float_range_on_the_grid_scale():
-    # the verdict comes from the scale-free pivot; only the report divides it
-    # by the level's step (about 3e-305), which overflows to -inf
+def test_pivot_at_the_stop_stays_finite_however_small_the_step():
+    # the trace reports the step-free pivot tau_j p_j, so a stop at a level
+    # whose step is about 3e-305 gives a finite nonpositive pivot
     grid = build_from_ratios([7.0, 10.0, 1e300, 6.0, 7.0, 24.0, 34.0], 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ok, tr = certify_positive_definite(grid)
     assert not ok
     assert tr.first_negative == 3
-    assert math.isfinite(tr.p[0]) and math.isfinite(tr.p[1])
-    assert tr.p[2] == -math.inf
+    assert all(map(math.isfinite, tr.p + tr.q))
+    assert tr.p[2] <= 0.0
 
 
-# steps falling by 1e-3 to 1.3e-160, then growing by 1.4: pivots near 2e160
+# steps falling by 1e-3 to 1.3e-160, then growing by 1.4: B's pivots near 2e160
 _TINY_STEPS = [10.0 ** (-3 * k) for k in range(54)] + [1.3e-160 * 1.4**k for k in range(21)]
 
 
 @pytest.mark.parametrize("grid, first_negative, sha256", [
     (lambda: certified_grid(make_rng(19), 300), None,
-     "e3666244553992fe1da13e6be4ee14ee4d4a24884079789a895b08bfa7e872ba"),
+     "2dbecb95b62fb7e8a624c227f0276dc2e0f321b0a2263ee39ac780dee1e7eab9"),
     (lambda: wild_grid(make_rng(0), 300), 24,
-     "c4849a36cfee3fa8f52a4c343fd194ccb5a916e8e5e08e55e6d06ac13f4d7529"),
+     "bae01915c6c17e107be661b29d4981535b1656e87d3a46585ea68c8508c5c286"),
     (lambda: build_from_steps(_TINY_STEPS), None,
-     "9ca2d0cd1205b5c17d6cc8cea71e12ce5406c07e64e909846a647123cf1744dc"),
+     "97169a6bef3839478064c96fc507fd91c12f1d5002a4b363d05e565277530a58"),
 ], ids=["certified", "wild-stops-early", "step-1e-160"])
 def test_shifted_trace_bytes_are_pinned(grid, first_negative, sha256):
     # the bytes of p then q, so any change in the elimination's arithmetic shows

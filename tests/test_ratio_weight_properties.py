@@ -12,6 +12,7 @@ shifted trace.
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -185,20 +186,20 @@ def test_ratio_trace_is_the_dense_ldlt_of_the_step_scaled_matrix(ratios):
 @settings(max_examples=150, deadline=None)
 @given(ratio_lists)
 def test_shifted_diagonal_at_every_level(ratios):
-    # undo the elimination to recover the diagonal the recursion used:
-    # diag_j = p_j + b2_j^2 / p_{j-2} + q_j^2 / p_{j-1}
+    # undo the elimination to recover the step-free diagonal the recursion
+    # used, 2*beta_0 - 2*gamma of A + A^T - 2*gamma*I:
+    # diag_j = p_j + a2_j^2 / p_{j-2} + q_j^2 / p_{j-1}
     g = build_from_ratios(ratios, 1.0)
     tr = sylvester_trace_shifted(g)
-    B = assemble_B(g).B
-    tau = np.asarray(g.steps)
-    want = 2.0 * np.diagonal(B) - 2.0 * GAMMA / tau
+    A = assemble_B(g).A
+    want = 2.0 * np.diagonal(A) - 2.0 * GAMMA
     p, q = tr.p, tr.q
     for j in range(len(p)):
         terms = [p[j]]
         if j >= 1:
             terms.append(q[j] ** 2 / p[j - 1])
         if j >= 2:
-            terms.append(B[j, j - 2] ** 2 / p[j - 2])
+            terms.append(A[j, j - 2] ** 2 / p[j - 2])
         scale = sum(abs(t) for t in terms) + abs(want[j])
         assert abs(math.fsum(terms) - want[j]) <= 1e-13 * scale
 
@@ -254,10 +255,9 @@ def test_closed_forms_give_the_same_bits_on_floats_and_arrays(args):
 def _table_trace(g, levels):
     """Shifted trace of the grid's first levels by the scaled dense table: the
     rows (2*a0 - 2*gamma, a1, a2) of A + A^T - 2*gamma*I from the
-    ratio_weights table, a_k = beta_k / sqrt(tau_{n-k} / tau_n), each finite
-    and with a finite unscaled diagonal (2*a0 - 2*gamma) / tau_n, then a plain
-    elimination, and p_j = (tau p)_j / tau_j, q_j = q'_j / (tau_j / sqrt(r_j))."""
-    tau, r = np.asarray(g.steps[:levels]), np.asarray(g.ratios[:levels - 1])
+    ratio_weights table, a_k = beta_k / sqrt(tau_{n-k} / tau_n), each finite,
+    then a plain elimination."""
+    r = np.asarray(g.ratios[:levels - 1])
     beta = ratio_weights(r)
     a = beta.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -268,10 +268,6 @@ def _table_trace(g, levels):
     for n in range(1, levels + 1):
         if not np.isfinite(a[n - 1]).all():
             raise _non_finite(n, f"step ratio r_{n} = {float(r[n - 2])!r}", "a0, a1, a2", a[n - 1])
-        with np.errstate(over="ignore"):
-            unscaled = np.r_[band[n - 1, 0], beta[n - 1, 1:]] / tau[n - 1]
-        if not np.isfinite(unscaled[0]):
-            raise _non_finite(n, f"step {g.steps[n - 1]!r}", "shifted diagonal, b1, b2", unscaled)
     diag, sub, subsub = band.T.tolist()
     p, q = [diag[0]], [0.0]
     if levels >= 2 and p[0] > 0.0:
@@ -283,10 +279,7 @@ def _table_trace(g, levels):
             q.append(sub[j] - (q[j - 1] / p[j - 2]) * subsub[j])
             p.append(diag[j] - subsub[j] * subsub[j] / p[j - 2] - q[j] * q[j] / p[j - 1])
     first = len(p) if p[-1] <= 0.0 else None
-    k = len(p)
-    with np.errstate(over="ignore"):  # a nonpositive pivot may unscale to -inf
-        return (np.asarray(p) / tau[:k],
-                np.r_[q[0] / tau[0], np.asarray(q[1:]) / (tau[1:k] / np.sqrt(r[:k - 1]))], first)
+    return np.asarray(p), np.asarray(q), first
 
 
 @settings(max_examples=300, deadline=None)
@@ -316,23 +309,31 @@ def test_lazy_shifted_trace_is_the_table_trace_up_to_the_stop(ratios):
 @given(ratio_lists)
 def test_shifted_pivots_times_steps_are_the_dense_scaled_ldlt(ratios):
     # the congruence B + B^T - 2 gamma Lambda^{-1} = Lambda^{-1/2} (A + A^T -
-    # 2 gamma I) Lambda^{-1/2} makes tau_j p_j the pivots of the scaled form
+    # 2 gamma I) Lambda^{-1/2} makes tau_j p_j the pivots of the scaled form,
+    # which the trace returns
     g = build_from_ratios(ratios, 1.0)
     tr = sylvester_trace_shifted(g)
     A = assemble_B(g).A
     d, _ = _ldlt(A + A.T - 2.0 * GAMMA * np.eye(g.n_steps))
     assert tr.first_negative == (len(d) if d[-1] <= 0.0 else None)
-    np.testing.assert_allclose(np.asarray(tr.p) * g.steps[:len(tr.p)], d, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(tr.p, d, rtol=1e-10, atol=0.0)
 
 
 @settings(max_examples=200, deadline=None)
-@given(ratio_lists, st.integers(-600, 600))
-def test_power_of_two_step_scaling_scales_the_shifted_trace_exactly(ratios, k):
-    # B - gamma*Lambda^{-1} scales as 1/tau: steps times 2^k keep the verdict
-    # and give p and q times 2^-k, bit for bit
+@given(ratio_lists, st.data())
+def test_power_of_two_step_scaling_scales_the_shifted_trace_exactly(ratios, data):
+    # steps times 2^k keep every ratio bit for bit, so the step-free trace
+    # and its verdict stay the same; k runs over every power that keeps all
+    # steps normal, with both ends checked, the smallest step then in
+    # [2^-1022, 2^-1021)
     g = build_from_ratios(ratios, 1.0)
     tr = sylvester_trace_shifted(g)
-    tr_k = sylvester_trace_shifted(build_from_steps([math.ldexp(t, k) for t in g.steps]))
-    assert tr_k.first_negative == tr.first_negative
-    for got, want in ((tr_k.p, tr.p), (tr_k.q, tr.q)):
-        assert np.asarray(got).tobytes() == np.ldexp(np.asarray(want), -k).tobytes()
+    k_min = -1021 - math.frexp(min(g.steps))[1]
+    k_max = 1024 - math.frexp(g.horizon)[1]  # the steps must keep a finite sum
+    for k in (k_min, k_max, data.draw(st.integers(k_min, k_max), label="k")):
+        steps = [math.ldexp(t, k) for t in g.steps]
+        assert min(steps) >= sys.float_info.min
+        tr_k = sylvester_trace_shifted(build_from_steps(steps))
+        assert tr_k.first_negative == tr.first_negative
+        for got, want in ((tr_k.p, tr.p), (tr_k.q, tr.q)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
