@@ -14,7 +14,9 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
+import tempfile
 from contextlib import nullcontext, redirect_stdout
 from dataclasses import dataclass
 from functools import partial
@@ -99,8 +101,8 @@ def run_convergence(case, eps2_list, n_list, m, seed=None):
     """
     eps2_list = list(eps2_list)
     n_list = sorted(set(int(n) for n in n_list))
-    if case == "2" and seed is None:
-        raise ValueError("case 2 needs a seed")
+    if (case == "2") != (seed is not None):
+        raise ValueError("case 2 needs a seed" if seed is None else f"case {case} takes no seed")
     operator = chebyshev_operator(m)
     grids = {n: _case_grid(case, n, seed) for n in n_list}
     # every configuration is validated before the first solve
@@ -246,22 +248,24 @@ def cmd_kernels(args) -> int:
         raise ValueError(f"kernels needs a grid of at most {_KERNELS_MAX_STEPS} steps, "
                          f"got {grid.n_steps}")
     b = kernel_weights(grid).tolist()
-    # a non-finite inverse kernel raises here, before anything is created
-    for _ in inverse_kernel_rows(b):
-        pass
     root = [math.sqrt(t) for t in grid.steps]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "B.csv", "w") as fb, open(out / "A.csv", "w") as fa, \
-            open(out / "D.csv", "w") as fd:
-        for f in (fb, fa, fd):
-            f.write("row,col,value\n")
-        for i, d in enumerate(inverse_kernel_rows(b), start=1):
-            # b_{i, i-j} for the banded columns j = i-2..i
-            band = [(j, b[i - 1][i - j]) for j in range(max(1, i - 2), i + 1)]
-            fb.writelines(f"{i},{j},{v!r}\n" for j, v in band)
-            fa.writelines(f"{i},{j},{root[i - 1] * v * root[j - 1]!r}\n" for j, v in band)
-            fd.writelines(f"{i},{j},{v!r}\n" for j, v in enumerate(d, start=1))
+    # written on out's file system, moved in after the last row: a failed dump leaves out as it was
+    near = next(path for path in (out, *out.parents) if path.is_dir())
+    with tempfile.TemporaryDirectory(dir=near) as scratch:
+        paths = [Path(scratch, f"{name}.csv") for name in "BAD"]
+        with open(paths[0], "w") as fb, open(paths[1], "w") as fa, open(paths[2], "w") as fd:
+            for f in (fb, fa, fd):
+                f.write("row,col,value\n")
+            for i, d in enumerate(inverse_kernel_rows(b), start=1):
+                # b_{i, i-j} for the banded columns j = i-2..i
+                band = [(j, b[i - 1][i - j]) for j in range(max(1, i - 2), i + 1)]
+                fb.writelines(f"{i},{j},{v!r}\n" for j, v in band)
+                fa.writelines(f"{i},{j},{root[i - 1] * v * root[j - 1]!r}\n" for j, v in band)
+                fd.writelines(f"{i},{j},{v!r}\n" for j, v in enumerate(d, start=1))
+        out.mkdir(parents=True, exist_ok=True)
+        for path in paths:
+            os.replace(path, out / path.name)
     print(f"wrote B.csv, A.csv, D.csv to {out}")
     return 0
 

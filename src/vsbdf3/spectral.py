@@ -109,10 +109,6 @@ class SpectralOperator:
         Y = np.repeat(self.nodes, self.nodes.size)
         return _ro(X), _ro(Y)
 
-    @property
-    def domain_area(self) -> float:
-        return float(self.w.sum())
-
     def laplacian(self, v: np.ndarray) -> np.ndarray:
         """L v."""
         U = v.reshape(self.d2.shape)

@@ -194,7 +194,7 @@ def test_criterion_08_energy_dissipation(capsys):
                        initial_data=default_energy_initial_data)
     u0 = cfg.initial_state
     e0 = energy(op, u0, 0.16)
-    bound = math.sqrt(4.0 * e0 / 0.16 + (2.0 + 0.16) * op.domain_area) + 1e-8
+    bound = math.sqrt(4.0 * e0 / 0.16 + (2.0 + 0.16) * float(op.w.sum())) + 1e-8
 
     def norms(u):
         grad = math.sqrt(float(op.w @ ((op.Gx @ u) ** 2 + (op.Gy @ u) ** 2)))

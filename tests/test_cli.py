@@ -136,6 +136,19 @@ def test_convergence_case_two_without_seed_exits_2():
     assert main(["--quiet", "convergence", "--case", "2"]) == 2
 
 
+@pytest.mark.parametrize("case", ["1", "uniform"])
+def test_convergence_refuses_a_seed_its_case_never_reads(tmp_path, capsys, monkeypatch, case):
+    # only case 2 draws its grids from the seed; elsewhere it would be
+    # recorded in the metadata of a table it did not shape
+    monkeypatch.setattr(cli, "chebyshev_operator", lambda m: pytest.fail("built before refusing"))
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("solved before refusing"))
+    assert main(["--quiet", "convergence", "--case", case, "--seed", "7", "--n", "2,4",
+                 "--m", "4", "--eps2", "0.16", "--format", "json",
+                 "--out", str(tmp_path / "u.json")]) == 2
+    assert capsys.readouterr().err == f"error: case {case} takes no seed\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ratio_figure_traces_pivots(tmp_path):
     out = tmp_path / "fig.csv"
     rc = main(["--quiet", "ratio-figure", "--ratio", "1.732",
@@ -565,10 +578,29 @@ def test_kernels_refuses_non_finite_inverse_kernels(tmp_path, capsys):
             assert capsys.readouterr().err == (
                 "error: level 112: the kernel weights give a non-finite inverse kernel "
                 "D[112,1] = nan\n")
-    # the command fails before it creates a directory or opens a file
+    # each failed dump leaves the directory as it found it
     assert not (tmp_path / "new").exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "g.json", "good.json", "kept", "prior"]
     assert list(kept.iterdir()) == []
     assert {path.name: path.read_bytes() for path in prior.iterdir()} == dump
+
+
+def test_kernels_computes_each_row_once_and_replaces_an_earlier_dump(tmp_path, monkeypatch):
+    # the rows are written in one pass into a scratch directory, which is
+    # removed after the three files move into --out
+    outdir = tmp_path / "mats"
+    assert main(["--quiet", "kernels", "--grid", str(save_grid(build_uniform(5, 1.0),
+                 tmp_path / "old.json")), "--out", str(outdir)]) == 0
+    calls, rows = [], cli.inverse_kernel_rows
+    monkeypatch.setattr(cli, "inverse_kernel_rows", lambda b: calls.append(b) or rows(b))
+    grid = build_alternating(8, 1.0)
+    assert main(["--quiet", "kernels", "--grid", str(save_grid(grid, tmp_path / "g.json")),
+                 "--out", str(outdir)]) == 0
+    assert len(calls) == 1
+    assert sorted(path.name for path in outdir.iterdir()) == ["A.csv", "B.csv", "D.csv"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["g.json", "mats", "old.json"]
+    assert (outdir / "B.csv").read_text() == _dense_csv(assemble_B(grid).B, True)
 
 
 def test_kernels_refuses_grids_too_large_to_dump(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import certified_grid, make_rng, wild_grid
 from eigen_oracles import min_symmetric_eigenvalue, spectral_norm
+from exact_oracles import shifted_pivots
 from vsbdf3 import ratio_analysis
 from vsbdf3.bdf_kernels import assemble_B, kernel_weights
 from vsbdf3.ratio_analysis import (
@@ -160,6 +161,22 @@ def test_certification_accepts_threshold_ratio_chain():
     assert ok
     assert tr.first_negative is None
     assert len(tr.p) == 100
+
+
+def test_certify_stops_where_the_exact_factorization_does():
+    # 100 grids inside the ratio box and 100 wild ones, N <= 30: the float
+    # verdict stops at the level of the first nonpositive exact pivot, and
+    # every pivot it computes is within 1e-12 relative of the exact one (7e-14 seen)
+    rng = make_rng(1010)
+    verdicts = []
+    for make in [certified_grid] * 100 + [wild_grid] * 100:
+        grid = make(rng, int(rng.integers(1, 31)))
+        exact = shifted_pivots(grid.steps)
+        trace = certify_positive_definite(grid)[1]
+        verdicts.append(trace.first_negative)
+        assert trace.first_negative == (len(exact) if exact[-1] <= 0 else None)
+        assert list(trace.p) == pytest.approx([float(p) for p in exact], rel=1e-12, abs=0.0)
+    assert verdicts[:100] == [None] * 100 and verdicts.count(None) < 150
 
 
 def test_certification_rejects_steep_chain():
