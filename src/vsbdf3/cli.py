@@ -247,9 +247,12 @@ def cmd_kernels(args) -> int:
     if grid.n_steps > _KERNELS_MAX_STEPS:
         raise ValueError(f"kernels needs a grid of at most {_KERNELS_MAX_STEPS} steps, "
                          f"got {grid.n_steps}")
+    out = Path(args.out)
+    # a directory in a file's place would stop the moves below after some files had moved
+    if blocked := [path for path in (out / f"{name}.csv" for name in "BAD") if path.is_dir()]:
+        raise ValueError(f"{blocked[0]} is a directory, not a file kernels can replace")
     b = kernel_weights(grid).tolist()
     root = [math.sqrt(t) for t in grid.steps]
-    out = Path(args.out)
     # written on out's file system, moved in after the last row: a failed dump leaves out as it was
     near = next(path for path in (out, *out.parents) if path.is_dir())
     with tempfile.TemporaryDirectory(dir=near) as scratch:

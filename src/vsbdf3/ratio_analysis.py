@@ -228,11 +228,9 @@ class LemmaSweepResult:
     passed: bool
 
 
-# Tolerances for declaring the sweep clean.  The pivot certificates cancel to
+# Tolerance for declaring the sweep clean.  The pivot certificates cancel to
 # an exact zero on the edge x = 0, where they sample as rounding (about 1e-13).
-TRANSFER_TOL = 1e-12
-SUBDIAG_TOL = 1e-12
-PIVOT_TOL = 1e-9
+SWEEP_TOL = 1e-12
 
 
 def sweep_lemma_bounds(resolution: float = 0.005) -> LemmaSweepResult:
@@ -248,11 +246,11 @@ def sweep_lemma_bounds(resolution: float = 0.005) -> LemmaSweepResult:
     t_min, s_min, lo_min, hi_min = extremes[:, 0::2].min(axis=0).tolist()
     t_max, s_max, lo_max, hi_max = extremes[:, 1::2].max(axis=0).tolist()
     passed = (
-        t_min >= 1.0 - TRANSFER_TOL
-        and t_max <= 2.7 + TRANSFER_TOL
-        and s_max <= SUBDIAG_TOL
-        and lo_min >= -PIVOT_TOL
-        and hi_max <= PIVOT_TOL
+        t_min >= 1.0 - SWEEP_TOL
+        and t_max <= 2.7 + SWEEP_TOL
+        and s_max <= SWEEP_TOL
+        and lo_min >= -SWEEP_TOL
+        and hi_max <= SWEEP_TOL
     )
     return LemmaSweepResult(
         resolution=resolution,

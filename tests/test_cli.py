@@ -603,6 +603,25 @@ def test_kernels_computes_each_row_once_and_replaces_an_earlier_dump(tmp_path, m
     assert (outdir / "B.csv").read_text() == _dense_csv(assemble_B(grid).B, True)
 
 
+def test_kernels_refuses_a_directory_in_place_of_a_dump_file(tmp_path, capsys):
+    # the three files move into --out one at a time; a directory named A.csv
+    # would stop the moves after B.csv had moved, leaving a mixed dump
+    outdir = tmp_path / "mats"
+    assert main(["--quiet", "kernels", "--grid", str(save_grid(build_uniform(3, 1.0),
+                 tmp_path / "g3.json")), "--out", str(outdir)]) == 0
+    (outdir / "A.csv").unlink()
+    (outdir / "A.csv").mkdir()
+    dump = {name: (outdir / name).read_bytes() for name in ("B.csv", "D.csv")}
+    capsys.readouterr()
+    assert main(["--quiet", "kernels", "--grid", str(save_grid(build_uniform(4, 1.0),
+                 tmp_path / "g4.json")), "--out", str(outdir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {outdir / 'A.csv'} is a directory, not a file kernels can replace\n")
+    assert {name: (outdir / name).read_bytes() for name in ("B.csv", "D.csv")} == dump
+    assert sorted(path.name for path in outdir.iterdir()) == ["A.csv", "B.csv", "D.csv"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["g3.json", "g4.json", "mats"]
+
+
 def test_kernels_refuses_grids_too_large_to_dump(tmp_path, capsys):
     # the CSV output grows as N^2, about 105 MB at 3,000 steps, the largest
     # grid the command dumps

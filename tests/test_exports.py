@@ -1,8 +1,12 @@
-"""Every exported name resolves, the package re-exports only those, and the
-names the benchmark reads resolve."""
+"""Every exported name resolves, the package re-exports exactly the library
+modules' names, and the names the benchmark reads resolve."""
 
 import importlib
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +23,23 @@ def test_every_name_in_all_resolves(name):
     assert missing == []
 
 
-def test_package_reexports_only_exported_names():
-    exported = {attr for name in MODULES
-                for attr in importlib.import_module(f"vsbdf3.{name}").__all__}
+def test_package_reexports_every_library_module_and_not_the_cli():
+    # each module's __all__ is the one list of its public names; the package
+    # holds the same objects, so a name two modules export is one object
+    exported = set()
+    for name in MODULES[:-1]:  # all but cli
+        mod = importlib.import_module(f"vsbdf3.{name}")
+        exported.update(mod.__all__)
+        assert all(getattr(vsbdf3, attr, None) is getattr(mod, attr) for attr in mod.__all__), name
     public = {attr for attr, value in vars(vsbdf3).items()
               if not attr.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert public - exported == set()
+    assert public == exported
+    # importing the package leaves the command-line harness unloaded
+    probe = "import sys, vsbdf3; print('vsbdf3.cli' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(vsbdf3.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_names_the_benchmark_reads_resolve(monkeypatch):

@@ -12,6 +12,7 @@ from eigen_oracles import min_symmetric_eigenvalue, spectral_norm
 from exact_oracles import shifted_pivots
 from vsbdf3 import ratio_analysis
 from vsbdf3.bdf_kernels import assemble_B, kernel_weights
+from vsbdf3.cli import main
 from vsbdf3.ratio_analysis import (
     GAMMA,
     KAPPA_MAX,
@@ -225,7 +226,7 @@ def test_lemma_functions_hand_values():
     assert pivot_upper_certificate(0.0, 0.0) == pytest.approx(-2.0, abs=1e-14)
     assert subdiagonal_certificate(1.0, 0.0) == pytest.approx(-0.5, abs=1e-14)
     # the lower pivot certificate vanishes when the incoming ratio is zero;
-    # it samples as rounding there, the exact zero that the sweep's 1e-9 allows for
+    # it samples as rounding there, the exact zero that the sweep's 1e-12 allows for
     y = np.linspace(0.0, MAX_CERTIFIED_RATIO, 20_001)
     assert np.abs(pivot_lower_certificate(0.0, y)).max() <= 1e-12
 
@@ -250,8 +251,20 @@ def test_quick_lemma_sweep_passes_at_coarse_resolution():
     assert res.transfer_min >= 1.0 - 1e-12
     assert res.transfer_max <= 2.7 + 1e-12
     assert res.subdiag_max <= 1e-12
-    assert res.pivot_lower_min >= -1e-9
-    assert res.pivot_upper_max <= 1e-9
+    assert res.pivot_lower_min >= -1e-12
+    assert res.pivot_upper_max <= 1e-12
+
+
+def test_lemma_sweep_refuses_a_pivot_certificate_just_below_zero(monkeypatch, capsys):
+    # one tolerance, 1e-12, covers the rounding at the exact zero on x = 0
+    # (about 1e-13); a certificate shifted by -1e-11 everywhere fails the sweep
+    lower = ratio_analysis.pivot_lower_certificate
+    monkeypatch.setattr(ratio_analysis, "pivot_lower_certificate",
+                        lambda x, y: lower(x, y) - 1e-11)
+    res = sweep_lemma_bounds(resolution=0.05)
+    assert not res.passed and res.pivot_lower_min <= -1e-11
+    assert main(["validate-lemmas", "--resolution", "0.05"]) == 1
+    assert capsys.readouterr().out.endswith("BOUND VIOLATION\n")
 
 
 def test_blocked_sweep_equals_a_full_box_evaluation():
