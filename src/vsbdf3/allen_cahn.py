@@ -15,8 +15,9 @@ range of 3u^2; each iteration applies J*P^-1 = I + diag(3u^2 - c)*P^-1 with
 one fast-diagonalisation solve.  GMRES stops at a recurrence residual below
 max(1e-3*NEWTON_TOL, 1e-13*|res|) (inexact Newton, Dembo, Eisenstat &
 Steihaug 1982); the true residual differs from it by the rounding of the
-P^-1 solve, three orders below NEWTON_TOL.  An inner solve that does not
-converge within _INNER_MAX_ITER iterations raises SingularJacobianError.
+P^-1 solve, three orders below NEWTON_TOL.  An inner solve that breaks
+down or does not converge within _INNER_MAX_ITER iterations ends Newton
+with a NewtonDivergenceError, as does any other Newton failure.
 
 Convergence is max-norm residual <= max(NEWTON_TOL, 4*eps*|rhs|): below
 that the residual is rounding noise of b0*u, which is large on tiny steps.
@@ -49,7 +50,6 @@ __all__ = [
     "StepDiagnostics",
     "RunResult",
     "NewtonDivergenceError",
-    "SingularJacobianError",
     "exact_solution",
     "exact_time_derivative",
     "forcing",
@@ -73,21 +73,6 @@ class NewtonDivergenceError(RuntimeError):
     def __str__(self):
         return "Newton did not converge at level {}: residual {:.3e} after {} iterations".format(
             *self.args)
-
-
-class SingularJacobianError(RuntimeError):
-    """The Newton linear system was singular to working precision.
-
-    Raised when the inner GMRES solve breaks down or does not reach its
-    tolerance within _INNER_MAX_ITER iterations.
-    """
-
-    def __init__(self, level: int):
-        super().__init__(level)  # args rebuild it on unpickling
-        self.level = level
-
-    def __str__(self):
-        return f"singular Jacobian at level {self.level}"
 
 
 # Max-norm residual at which Newton stops, and its iteration cap.
@@ -227,7 +212,9 @@ def step(config: SolverConfig, history, n: int) -> tuple[np.ndarray, StepDiagnos
         if not math.isfinite(beta) or len(inner) >= _NEWTON_MAX_ITER:
             raise NewtonDivergenceError(n, res_norm, len(inner))
         inner_tol = max(1e-3 * NEWTON_TOL, 1e-13 * res_norm)
-        du, its = _newton_correction(op, eps2, b0 - 1.0, u, res, beta, inner_tol, n)
+        du, its = _newton_correction(op, eps2, b0 - 1.0, u, res, beta, inner_tol)
+        if du is None:
+            raise NewtonDivergenceError(n, res_norm, len(inner))
         u = u + du
         inner.append(its)
 
@@ -236,7 +223,7 @@ def step(config: SolverConfig, history, n: int) -> tuple[np.ndarray, StepDiagnos
 
 
 def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.ndarray,
-                       res: np.ndarray, beta: float, tol: float, level: int) -> tuple[np.ndarray, int]:
+                       res: np.ndarray, beta: float, tol: float) -> tuple[np.ndarray | None, int]:
     """Solve (shift*I - eps2*L + diag(3u^2)) du = -res by one GMRES cycle.
 
     The cycle (Saad & Schultz 1986) takes at most _INNER_MAX_ITER
@@ -246,7 +233,8 @@ def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.nd
     the least-squares problem triangular; its last right-hand-side entry is
     the recurrence residual that tol bounds in the 2-norm, and the true
     residual differs from it by the rounding of the P^-1 solve.  The basis
-    grows by doubling.  beta = |res|_2 > 0.  Returns du and the iterations.
+    grows by doubling.  beta = |res|_2 > 0.  Returns du and the iterations;
+    du is None when the cycle breaks down or reaches the cap.
     """
     c3 = 3.0 * u * u
     c = 0.5 * (float(c3.max()) + float(c3.min()))
@@ -270,7 +258,7 @@ def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.nd
             rows[i].append(col[i])
         d = math.hypot(col[j], hn)
         if not (math.isfinite(d) and d > 0.0):
-            raise SingularJacobianError(level)
+            return None, j + 1
         ci, si = col[j] / d, hn / d
         rotations.append((ci, si))
         rows.append([d])
@@ -281,7 +269,7 @@ def _newton_correction(op: SpectralOperator, eps2: float, shift: float, u: np.nd
             V = np.concatenate((V, np.empty_like(V)))
         V[j + 1] = w / hn
     else:
-        raise SingularJacobianError(level)
+        return None, _INNER_MAX_ITER
     k = j + 1
     y = np.empty(k)
     for i in range(k - 1, -1, -1):

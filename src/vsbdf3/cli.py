@@ -3,9 +3,9 @@
 Subcommands mirror the study workflows; all numeric output files are byte
 deterministic for a fixed invocation, and no wall-clock time is recorded.
 Exit codes: 0 success / property certified, 1 analyzed property violated,
-2 usage error, 3 solver failure (Newton divergence or a non-converging
-inner solve).  Commands raise ValueError on bad input; main prints it as
-one "error:" line on stderr, as it does solver failures.
+2 usage error, 3 solver failure (Newton divergence, a non-converging
+inner solve included).  Commands raise ValueError on bad input; main
+prints it as one "error:" line on stderr, as it does solver failures.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 from .allen_cahn import (
     NEWTON_TOL,
     NewtonDivergenceError,
-    SingularJacobianError,
     SolverConfig,
     consistency_probe,
     run,
@@ -395,7 +394,7 @@ def main(argv=None) -> int:
     try:
         with redirect_stdout(io.StringIO()) if args.quiet else nullcontext():
             return args.func(args)
-    except (NewtonDivergenceError, SingularJacobianError) as exc:
+    except NewtonDivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (OSError, ValueError) as exc:

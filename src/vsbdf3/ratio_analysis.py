@@ -97,7 +97,8 @@ def _elimination(ratios, shift):
         r_prev, r = r, r_n
         if n > 1:
             (b0, b1, b2), root1 = bdf3_weights(1.0, r, r_prev), math.sqrt(r)
-            root2 = math.sqrt(r * r_prev) if n > 2 else 1.0
+            # a product that underflows to zero falls back to the split root
+            root2 = (math.sqrt(r * r_prev) or root1 * math.sqrt(r_prev)) if n > 2 else 1.0
         diag = 2.0 * b0 - shift
         a1 = b1 / root1 if root1 else math.nan
         a2 = b2 / root2 if root2 else math.nan

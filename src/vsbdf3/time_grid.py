@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -179,10 +180,12 @@ def random_bounded_grid(n: int, max_step: float, seed: int) -> TimeGrid:
 
     Bounding the steps inside one 1.405-wide band keeps every adjacent ratio
     in [1/1.405, 1.405] by construction, so the grid satisfies the certified
-    ratio bound while staying genuinely random.  Uses the PCG64 stream.
+    ratio bound while staying genuinely random.  Uses the PCG64 stream; the
+    band's lower end must be a normal float, as subnormal steps break it.
     """
-    if not (math.isfinite(max_step) and max_step > 0.0):
-        raise ValueError(f"max_step must be positive and finite, got {max_step!r}")
+    if not (math.isfinite(max_step) and max_step >= MAX_CERTIFIED_RATIO * sys.float_info.min):
+        raise ValueError(f"max_step must be finite and at least 1.405 times the smallest "
+                         f"normal float, got {max_step!r}")
     if n < 1:
         raise ValueError(f"step count must be >= 1, got {n}")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -166,6 +166,8 @@ def test_ratio_figure_traces_pivots(tmp_path):
 @pytest.mark.parametrize("ratio, length, sha256", [
     ("1.732", "120", "88daf635818e2a00b9f099667ce2121e464bc42451bec142f026f149452b2d03"),
     ("1.405", "10000", "a29e1f5c16c72609bc5554abec56f465c4083b80496b5eac98b7db4c296bd912"),
+    # r^2 = 1e-400 underflows; the root of each factor keeps every pivot 2.0
+    ("1e-200", "6", "25e7460dae30c14bb095e5d1db3e17f7079111b07dc3f26a2643dc157cfd350f"),
 ])
 def test_ratio_figure_bytes_are_pinned(tmp_path, ratio, length, sha256):
     out = tmp_path / "fig.csv"
@@ -233,19 +235,22 @@ def test_certify_exit_codes(tmp_path, capsys):
         assert main(["certify", "--grid", str(subnormal)]) == 0
         assert capsys.readouterr() == ("grid: 3 steps, horizon 1, max ratio 1.0\n"
                                        "certified: all pivots positive\n", "")
-        # a ratio, or the product of two, that underflows to zero makes the
-        # scaled coupling beta_k / sqrt(ratios) a 0/0 (the kernels command,
-        # which divides by no ratio, still builds these grids)
-        for text, level, cause, values in (
-                ('{"T": 1e300, "steps": [1e300, 1e-300, 1e-300]}', 2, "r_2 = 0.0", "1.0, nan, 0.0"),
-                ('{"T": 1e150, "steps": [1e150, 1e-50, 1e-250]}', 3, "r_3 = 1e-200",
-                 "1.0, -0.0, nan")):
-            underflow = tmp_path / "underflow.json"
+        # a ratio that underflows to zero makes the scaled coupling
+        # beta_1 / sqrt(r_2) a 0/0 (the kernels command, which divides by no
+        # ratio, still builds this grid)
+        underflow = tmp_path / "underflow.json"
+        underflow.write_text('{"T": 1e300, "steps": [1e300, 1e-300, 1e-300]}')
+        assert main(["--quiet", "certify", "--grid", str(underflow)]) == 2
+        assert capsys.readouterr().err == (
+            "error: level 2: step ratio r_2 = 0.0 gives non-finite kernel weights "
+            "a0, a1, a2 = 1.0, nan, 0.0\n")
+        # ratios of 1e-200 are normal floats whose product underflows; the
+        # coupling beta_2 / sqrt(r_3 r_2) splits the root and stays 0.0
+        for text in ('{"T": 1e150, "steps": [1e150, 1e-50, 1e-250]}',
+                     '{"T": 1e300, "steps": [1e300, 1e100, 1e-100, 1e-300]}'):
             underflow.write_text(text)
-            assert main(["--quiet", "certify", "--grid", str(underflow)]) == 2
-            assert capsys.readouterr().err == (
-                f"error: level {level}: step ratio {cause} gives non-finite kernel weights "
-                f"a0, a1, a2 = {values}\n")
+            assert main(["certify", "--grid", str(underflow)]) == 0
+            assert capsys.readouterr().out.endswith("certified: all pivots positive\n")
 
 
 def test_deeply_nested_grid_json_is_a_usage_error(tmp_path, capsys):
@@ -473,6 +478,17 @@ def test_energy_trace_bytes_are_pinned(tmp_path, seed, sha256):
     assert main(["--quiet", "energy", "--eps2", "0.16", "--tau", "0.01", "--steps", "200",
                  *seed, "--m", "32", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_energy_gmres_cap_below_the_convex_range_is_a_divergence(capsys):
+    # tau = 2 gives b0 = 0.75 < 1 at level 2, where the functional is not
+    # convex; the fifth correction's GMRES cycle reaches its cap, and Newton
+    # reports the residual and corrections it had
+    rc = main(["--quiet", "energy", "--eps2", "0.001", "--tau", "2", "--steps", "3",
+               "--m", "32"])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Newton did not converge at level 2: ")
 
 
 def test_energy_residual_whose_two_norm_overflows_is_a_divergence(capsys):

@@ -1,7 +1,9 @@
 """Every exported name resolves, the package re-exports exactly the library
-modules' names, and the names the benchmark reads resolve."""
+modules' names, the names the benchmark reads resolve, and every exported
+solver error is an exit-3 failure of the command line."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -76,3 +78,27 @@ def test_names_the_benchmark_reads_resolve(monkeypatch):
     assert cli.main(["--quiet", "energy", "--eps2", "0.16", "--tau", "0.01", "--steps", "3",
                      "--m", "4"]) == 0
     assert len(calls) == 1
+
+
+_ALLEN_CAHN = importlib.import_module("vsbdf3.allen_cahn")
+_SOLVER_ERRORS = [value for value in (getattr(_ALLEN_CAHN, name) for name in _ALLEN_CAHN.__all__)
+                  if isinstance(value, type) and issubclass(value, BaseException)]
+_PLACEHOLDERS = {"int": 2, "float": 0.5}
+
+
+@pytest.mark.parametrize("exc_type", _SOLVER_ERRORS, ids=lambda t: t.__name__)
+def test_every_solver_error_is_an_exit_3_line(monkeypatch, capsys, exc_type):
+    # a solver error that main does not catch would escape as a traceback;
+    # each one is built from placeholders of its annotated argument types
+    from vsbdf3 import cli
+
+    params = inspect.signature(exc_type).parameters.values()
+    exc = exc_type(*(_PLACEHOLDERS[p.annotation] for p in params))
+
+    def failing(config):
+        raise exc
+
+    monkeypatch.setattr(cli, "run", failing)
+    assert cli.main(["--quiet", "energy", "--eps2", "0.16", "--tau", "0.01", "--steps", "3",
+                     "--m", "4"]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: {exc}"]

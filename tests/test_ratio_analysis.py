@@ -1,6 +1,5 @@
 import hashlib
 import math
-import re
 import struct
 import warnings
 
@@ -149,12 +148,10 @@ def test_ratio_consumers_reject_bad_ratios_alike(consumer, ratios, message):
         consumer(ratios)
 
 
-def test_trace_from_ratios_refuses_a_product_of_ratios_that_underflows():
-    # r_3 r_2 = 1e-400 is zero, so a2 = beta_2 / sqrt(r_3 r_2) is 0/0
-    with pytest.raises(ValueError, match=re.escape(
-            "level 3: step ratio r_3 = 1e-200 gives non-finite kernel weights "
-            "a0, a1, a2 = 1.0, -0.0, nan")):
-        sylvester_trace_A_from_ratios([1e-200, 1e-200])
+def test_trace_from_ratios_survives_a_product_of_ratios_that_underflows():
+    # r_3 r_2 = 1e-400 is zero in floats; a2 = beta_2 / (sqrt(r_3) sqrt(r_2))
+    # is 0.0, and every pivot is the exact 2
+    assert sylvester_trace_A_from_ratios([1e-200, 1e-200]).p == (2.0, 2.0, 2.0)
 
 
 def test_certification_accepts_threshold_ratio_chain():

@@ -6,8 +6,9 @@ convergence grids, plus extreme ratios that overflow the closed forms.
 The references are the closed forms evaluated at each level's (tau_n, r_n,
 r_{n-1}), the dense matrices of assemble_B, the column-order oracle of
 the inverse kernels (bit for bit), the identity D B = I, the
-Jacobi eigenvalue oracle, a dense LDL^T, and the scaled table path of the
-shifted trace.
+Jacobi eigenvalue oracle, a dense LDL^T, the scaled table path of the
+shifted trace, and the exact LDL^T of exact_oracles for the certification
+verdict on grids of N <= 40.
 """
 
 import math
@@ -19,7 +20,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from vsbdf3.bdf_kernels import (  # noqa: E402
     _non_finite,
@@ -37,11 +38,12 @@ from vsbdf3.ratio_analysis import (  # noqa: E402
     sylvester_trace_A_from_ratios,
     sylvester_trace_shifted,
 )
-from vsbdf3.time_grid import build_from_ratios, build_from_steps  # noqa: E402
+from vsbdf3.time_grid import TimeGrid, build_from_ratios, build_from_steps  # noqa: E402
 
 from conftest import inverse_kernel_matrix  # noqa: E402
 from dense_oracles import doc_kernels  # noqa: E402
 from eigen_oracles import min_symmetric_eigenvalue  # noqa: E402
+from exact_oracles import shifted_pivots  # noqa: E402
 
 # half the sequences keep every ratio inside the certified bound 1.405, so
 # both certification verdicts occur often
@@ -337,3 +339,56 @@ def test_power_of_two_step_scaling_scales_the_shifted_trace_exactly(ratios, data
         assert tr_k.first_negative == tr.first_negative
         for got, want in ((tr_k.p, tr.p), (tr_k.q, tr.q)):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# ratios inside the box, within 4 ulps of its edge 1.405 on either side, and
+# wild ones up to 44 (the three occur about equally often)
+_oracle_ratios = st.lists(
+    st.floats(min_value=1e-3, max_value=1.405)
+    | st.integers(-4, 4).map(lambda k: 1.405 + k * math.ulp(1.405))
+    | st.floats(min_value=1.0 / 44.0, max_value=44.0),
+    max_size=39)
+
+
+@st.composite
+def oracle_grids(draw):
+    """Grids of N <= 40 formed in floats from a first step and the drawn ratios.
+
+    The first step puts the largest step at 1, the smallest in the
+    subnormal range, or, with two ratios near 1e-200 inserted, the largest
+    at 1e300; the product of that pair underflows to zero.
+    """
+    ratios = draw(_oracle_ratios)
+    scale = draw(st.sampled_from(["normal", "subnormal", "underflowing pair"]))
+    if scale == "underflowing pair":
+        r = draw(st.floats(min_value=1e-201, max_value=1e-199))
+        at = draw(st.integers(0, len(ratios)))
+        ratios[at:at] = [r, r]
+        ratios = ratios[:39]
+    logs = [0.0]
+    for r in ratios:
+        logs.append(logs[-1] + math.log10(r))
+    if scale == "subnormal":
+        first = 10.0 ** (draw(st.floats(min_value=-322.0, max_value=-308.5)) - min(logs))
+    else:
+        first = 10.0 ** ((300.0 if scale == "underflowing pair" else 0.0) - max(logs))
+    steps = [first]
+    for r in ratios:
+        steps.append(steps[-1] * r)
+    assume(all(0.0 < t < math.inf for t in steps) and math.isfinite(sum(steps)))
+    return TimeGrid(tuple(steps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_grids())
+@example(TimeGrid((1e300, 1e100, 1e-100, 1e-300)))  # r_3 r_2 = 1e-400 underflows
+def test_certify_stops_at_the_exact_ldlt_stop_level(grid):
+    # the float verdict reads the step ratios alone; the exact factorization
+    # of B + B^T - 2 gamma Lambda^{-1} reads the steps as exact rationals.
+    # Positive pivots agree within 1e-12 relative (3.3e-14 seen in 3,000 grids)
+    exact = shifted_pivots(grid.steps)
+    ok, trace = certify_positive_definite(grid)
+    assert trace.first_negative == (len(exact) if exact[-1] <= 0 else None)
+    assert ok == (trace.first_negative is None)
+    positive = [float(p) for p in exact if p > 0]
+    assert list(trace.p[:len(positive)]) == pytest.approx(positive, rel=1e-12, abs=0.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +130,12 @@ def test_random_bounded_grid_keeps_ratios_in_band():
     assert r.max() <= 1.405
     assert r.min() >= 1.0 / 1.405 - 1e-12
     assert g.steps == random_bounded_grid(200, 0.01, seed=7).steps
+    # subnormal steps are too coarse for the band: 5e-323 gave a ratio of 1.4286
+    smallest = MAX_CERTIFIED_RATIO * sys.float_info.min
+    for max_step in (5e-323, math.nextafter(smallest, 0.0)):
+        with pytest.raises(ValueError, match="max_step must be finite and at least"):
+            random_bounded_grid(2000, max_step, 1)
+    assert max(random_bounded_grid(2000, smallest, 1).ratios) <= MAX_CERTIFIED_RATIO
 
 
 def test_json_round_trip_is_bit_exact():
