@@ -3,14 +3,14 @@
 Level 1 uses the one-step kernel and every later level the three-step
 closed form, which at r_1 = 0 (no step before level 1) is level 2's
 two-step kernel.  Weights depend only on the local data (tau_n, r_n,
-r_{n-1}), and only through b_k = beta_k / tau_n.  One table of ratio parts
-beta_k (ratio_weights, one array call into the closed form) gives the
-kernel weights b_k of every level (kernel_weights, which time stepping
-reads once per grid), the kernel matrix B and the step-scaled A =
-Lambda^{1/2} B Lambda^{1/2}; ratio_analysis reads the same closed form
-at tau_n = 1 one level at a time, with the same bits, for both its traces.
-apply_D3 is the one place the backward-difference sum is written; the
-N x N matrices exist for analysis and diagnostics.
+r_{n-1}), and only through b_k = beta_k / tau_n.  The closed form
+bdf3_weights gives the ratio parts beta_k; ratio_weights tabulates them
+for every level in one array call, and kernel_weights, which time
+stepping reads once per grid, is the one place they are divided by the
+step.  ratio_analysis reads the same closed form one level at a time,
+with the same bits, for both its traces.  apply_D3 is the one place the
+backward-difference sum is written; the N x N matrix B of assemble_B
+exists for analysis and diagnostics.
 
 The inverse kernels (rows of D = B^{-1}) are computed one row at a time
 by the backward recursion that defines them, reading the weight table
@@ -40,23 +40,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrices:
-    """Kernel matrix B and its step-scaled symmetrization A, read-only.
-
-    B is lower triangular with bandwidth 3, and A = Lambda^{1/2} B
-    Lambda^{1/2} with Lambda = diag(tau).
-    """
+    """Kernel matrix B, lower triangular with bandwidth 3, read-only."""
 
     B: np.ndarray
-    A: np.ndarray
 
 
-def bdf3_weights(tau_n, r_n, r_nm1):
-    """Three-step weights (b0, b1, b2) from the step and the two trailing ratios.
+def bdf3_weights(r_n, r_nm1):
+    """Ratio parts (beta_0, beta_1, beta_2) of the three-step weights, b_k = beta_k / tau_n.
 
     The arguments may be scalars or arrays of one shape; products, not powers,
-    keep their bits equal.  At r_nm1 = 0 they are the two-step weights.
+    keep their bits equal.  At r_nm1 = 0 they are the two-step ratio parts.
     """
-    den = tau_n * (1.0 + r_n) * (1.0 + r_nm1) * (1.0 + r_nm1 + r_n * r_nm1)
+    den = (1.0 + r_n) * (1.0 + r_nm1) * (1.0 + r_nm1 + r_n * r_nm1)
     rr, mix = r_n * r_n, 1.0 + 2.0 * r_nm1 + r_n * r_nm1
     b0 = (1.0 + r_nm1) * (1.0 + 2.0 * r_n + r_nm1 * (1.0 + 4.0 * r_n + 3.0 * rr)) / den
     b1 = -rr * (mix * mix - r_nm1 * (1.0 + r_nm1)) / den
@@ -76,7 +71,7 @@ def ratio_weights(ratios) -> np.ndarray:
     beta = np.zeros((r.size + 1, 3))
     beta[0, 0] = 1.0
     with np.errstate(all="ignore"):
-        beta[1:] = np.column_stack(bdf3_weights(1.0, r, np.concatenate(([0.0], r))[:-1]))
+        beta[1:] = np.column_stack(bdf3_weights(r, np.concatenate(([0.0], r))[:-1]))
     return _require_finite(beta, "beta_0, beta_1, beta_2",
                            lambda n: f"step ratio r_{n} = {float(r[n - 2])!r}")
 
@@ -111,18 +106,15 @@ def _non_finite(n: int, cause: str, names: str, values) -> ValueError:
 
 
 def assemble_B(grid: TimeGrid) -> KernelMatrices:
-    """Assemble B (lower triangular, bandwidth 3) and A for the grid."""
+    """Assemble the kernel matrix B (lower triangular, bandwidth 3) of the grid."""
     n = grid.n_steps
-    tau = np.asarray(grid.steps)
     b = kernel_weights(grid)
     B = np.zeros((n, n))
     idx = np.arange(n)
     B[idx, idx] = b[:, 0]
     B[idx[1:], idx[:-1]] = b[1:, 1]
     B[idx[2:], idx[:-2]] = b[2:, 2]
-    root = np.sqrt(tau)
-    A = root[:, None] * B * root[None, :]
-    return KernelMatrices(B=_ro(B), A=_ro(A))
+    return KernelMatrices(B=_ro(B))
 
 
 def inverse_kernel_rows(weights):

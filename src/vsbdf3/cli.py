@@ -160,7 +160,14 @@ def emit(report: ConvergenceReport, fmt: str, path) -> Path:
 # subcommands
 
 
+def _require_out_dir(out) -> None:
+    """Refuse an --out file whose directory does not exist, before any work or output."""
+    if out is not None and not out.parent.is_dir():
+        raise ValueError(f"--out {out}: directory {out.parent} does not exist")
+
+
 def cmd_convergence(args) -> int:
+    _require_out_dir(args.out)
     out, paths = args.out, [args.out] * len(args.eps2)
     if out is not None and len(paths) > 1:
         paths = [out.with_name(f"{out.stem}_eps2_{e:g}{out.suffix}") for e in args.eps2]
@@ -181,6 +188,7 @@ def cmd_convergence(args) -> int:
 def cmd_ratio_figure(args) -> int:
     if args.length < 2:
         raise ValueError("--length must be at least 2")
+    _require_out_dir(args.out)
     trace = sylvester_trace_A_from_ratios([args.ratio] * (args.length - 1))
     lines = ["j,p", *(f"{j},{pj!r}" for j, pj in enumerate(trace.p, start=1))]
     Path(args.out).write_text("\n".join(lines) + "\n")
@@ -220,6 +228,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_energy(args) -> int:
+    _require_out_dir(args.out)
     if args.seed is None:
         grid = build_from_steps((args.tau,) * args.steps)
     else:
@@ -282,6 +291,7 @@ _PROBE_FUNCTIONS = {
 def cmd_consistency(args) -> int:
     if min(args.levels) < 3:
         raise ValueError(f"level counts must be >= 3, got {[n for n in args.levels if n < 3]}")
+    _require_out_dir(args.out)
     v, v_prime = _PROBE_FUNCTIONS[args.function]
     lines = ["N,tau,max_eta"]
     for n in sorted(set(args.levels)):

@@ -5,9 +5,10 @@ symmetric-elimination pivot recursion on their banded entries (Sylvester's
 criterion applied minor by minor) and stopping at the first nonpositive
 pivot.  Both traces run one elimination loop over the step ratios, which
 forms each row of A + A^T - 2*gamma*I, A = Lambda^{1/2} B Lambda^{1/2}, as
-it eliminates it; the matrix is congruent to B + B^T - 2*gamma*Lambda^{-1},
-and its pivots are the tau_j p_j that the closed-form certificates bound on
-the ratio box [0, 1.405]^2.
+it eliminates it; the matrix is congruent to B + B^T - 2*gamma*Lambda^{-1}.
+Its pivots tau_j p_j, the coupling envelopes and the closed-form
+certificates that bound them on the ratio box [0, 1.405]^2 all read the
+step ratios alone; no step enters this module's weights.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "KAPPA_MAX",
     "LAMBDA_MIN",
     "LAMBDA_MAX",
-    "MAX_CERTIFIED_RATIO",
     "SWEEP_KAPPAS",
     "SylvesterTrace",
     "LemmaSweepResult",
@@ -84,7 +84,7 @@ def _elimination(ratios, shift):
     """Pivots and couplings of the symmetric elimination of A + A^T - shift*I.
 
     Level n's row is 2*beta_0 - shift, a1 = beta_1 / sqrt(r_n), a2 = beta_2 /
-    sqrt(r_n r_{n-1}), beta_k the weights at tau_n = 1: (1, 0, 0), then
+    sqrt(r_n r_{n-1}), beta_k the level's ratio parts: (1, 0, 0), then
     bdf3_weights with r_1 = 0.  No level is read after the first nonpositive
     pivot.  A level whose beta_k or row is not finite (a 0/0 from ratios that
     underflowed to zero) raises ValueError; a non-finite row gives a
@@ -96,7 +96,7 @@ def _elimination(ratios, shift):
     for n, r_n in enumerate(chain((0.0,), ratios), 1):
         r_prev, r = r, r_n
         if n > 1:
-            (b0, b1, b2), root1 = bdf3_weights(1.0, r, r_prev), math.sqrt(r)
+            (b0, b1, b2), root1 = bdf3_weights(r, r_prev), math.sqrt(r)
             # a product that underflows to zero falls back to the split root
             root2 = (math.sqrt(r * r_prev) or root1 * math.sqrt(r_prev)) if n > 2 else 1.0
         diag = 2.0 * b0 - shift
@@ -125,7 +125,7 @@ def generating_function(r: float, x) -> np.ndarray | float:
     """
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"ratio must be positive and finite, got {r!r}")
-    a0, b1, b2 = bdf3_weights(1.0, r, r)
+    a0, b1, b2 = bdf3_weights(r, r)
     a1, a2 = b1 / math.sqrt(r), b2 / r
     if not all(map(math.isfinite, (a0, a1, a2))):
         raise ValueError(f"ratio {r!r} gives non-finite coefficients {a0!r}, {a1!r}, {a2!r}")
@@ -142,13 +142,14 @@ def sylvester_trace_A_from_ratios(ratios) -> SylvesterTrace:
     return SylvesterTrace(*_elimination(_checked_ratios(ratios).tolist(), 0.0))
 
 
-def subdiagonal_envelopes(tau_j, r_j, r_jm1):
-    """Envelope pair (mu_j, nu_j) bracketing the coupling q_j for j >= 3.
+def subdiagonal_envelopes(r_j, r_jm1):
+    """Envelope pair (mu_j, nu_j), j >= 3, from the ratios alone: tau_j q_j of
+    B + B^T - 2*gamma*Lambda^{-1} lies between beta_1 + mu_j and beta_1 + nu_j.
 
     The arguments may be scalars or arrays of one shape (same bits either way).
     """
     base = (r_j * r_j) * (r_jm1 * r_jm1 * r_jm1 * r_jm1) * (1.0 + r_j) / (
-        tau_j * ((1.0 + r_jm1) * (1.0 + r_jm1)) * (1.0 + r_jm1 + r_j * r_jm1)
+        ((1.0 + r_jm1) * (1.0 + r_jm1)) * (1.0 + r_jm1 + r_j * r_jm1)
     )
     return KAPPA_MIN * base, KAPPA_MAX * base
 
@@ -185,8 +186,8 @@ def envelope_transfer_factor(x, y, kappa):
 
 
 def subdiagonal_certificate(x, y):
-    """Certifies q_j <= b1_j + nu_j <= 0: nonpositive on the whole box."""
-    return bdf3_weights(1.0, x, y)[1] + subdiagonal_envelopes(1.0, x, y)[1]
+    """Certifies tau_j q_j <= beta_1 + nu_j <= 0: nonpositive on the whole box."""
+    return bdf3_weights(x, y)[1] + subdiagonal_envelopes(x, y)[1]
 
 
 def _pivot_certificate(x, y, lam, kappa):

@@ -1,4 +1,9 @@
-"""Dense N x N oracle for the inverse kernels, and @ forms of the spectral solves.
+"""Dense N x N oracles of the kernels, and @ forms of the spectral solves.
+
+step_scaled_matrix forms A = Lambda^{1/2} B Lambda^{1/2}, Lambda = diag(tau),
+from the kernel matrix B.  The package never holds the dense A: the
+elimination in ratio_analysis forms its rows from the step ratios, and the
+kernels command writes its band one row at a time.
 
 doc_kernels fills D = B^{-1} column by column with vector operations over
 all rows at once, the loop order the package used before it streamed one
@@ -15,6 +20,15 @@ because on eig's strided real view np.dot rounds otherwise than @.
 import numpy as np
 
 from vsbdf3.bdf_kernels import assemble_B
+
+
+def step_scaled_matrix(grid) -> np.ndarray:
+    """A = Lambda^{1/2} B Lambda^{1/2} of the grid, read-only."""
+    B = assemble_B(grid).B
+    root = np.sqrt(np.asarray(grid.steps))
+    A = root[:, None] * B * root[None, :]
+    A.flags.writeable = False
+    return A
 
 
 def doc_kernels(grid) -> np.ndarray:

@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from conftest import certified_grid, inverse_kernel_matrix, make_rng, wild_grid
+from dense_oracles import step_scaled_matrix
 from eigen_oracles import min_symmetric_eigenvalue, spectral_norm
 from vsbdf3.allen_cahn import (
     SolverConfig,
@@ -115,9 +116,10 @@ def test_criterion_04_pivot_envelopes_and_certification(capsys):
         all_certified = all_certified and ok_cert and tr.first_negative is None
         tau = g.steps
         b = kernel_weights(g)
-        # the coupling envelopes of levels j >= 3, from the closed form on the grid's arrays
-        mu, nu = subdiagonal_envelopes(np.asarray(tau[2:]), np.asarray(g.ratios[1:]),
-                                       np.asarray(g.ratios[:-1]))
+        # the coupling envelopes of levels j >= 3, from the closed form on the
+        # grid's ratio arrays, over tau_j to bring them to B's scale
+        mu, nu = (env / np.asarray(tau[2:]) for env in
+                  subdiagonal_envelopes(np.asarray(g.ratios[1:]), np.asarray(g.ratios[:-1])))
         for j in range(1, n + 1):
             # the trace gives tau_j p_j, which the lemmas bound, and the
             # coupling tau_j q_j / sqrt(r_j), brought back to B's scale here
@@ -148,7 +150,7 @@ def test_criterion_05_steep_ratio_counterexample(capsys):
     # independent in-test oracle: first leading principal minor of A + A^T
     # that fails to be positive, by dense determinants
     g = build_from_ratios([1.732] * 119, 1.0)
-    s = assemble_B(g).A
+    s = step_scaled_matrix(g)
     s = s + s.T
     det_index = None
     for j in range(1, s.shape[0] + 1):

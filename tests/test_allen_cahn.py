@@ -549,9 +549,9 @@ def test_energy_mode_monotone_on_bounded_grid():
 
 def test_solvability_bound_and_checks():
     # at unit ratios b0 = (11/6)/tau, so the level is solvable below tau = 11/6
-    assert bdf3_weights(1.0, 1.0, 1.0)[0] == pytest.approx(11 / 6)
-    assert check_solvability(bdf3_weights(1.0, 1.0, 1.0)[0])
-    assert not check_solvability(bdf3_weights(2.0, 1.0, 1.0)[0])
+    assert bdf3_weights(1.0, 1.0)[0] / 1.0 == pytest.approx(11 / 6)
+    assert check_solvability(bdf3_weights(1.0, 1.0)[0] / 1.0)
+    assert not check_solvability(bdf3_weights(1.0, 1.0)[0] / 2.0)
     # strict at b0 = 1, where the energy condition still holds
     assert not check_solvability(1.0)
     assert check_energy_condition(1.0, 0.01)
@@ -560,7 +560,7 @@ def test_solvability_bound_and_checks():
 
 def test_energy_condition_caps_the_step():
     def holds(tau, r):
-        return check_energy_condition(bdf3_weights(tau, r, r)[0], tau)
+        return check_energy_condition(bdf3_weights(r, r)[0] / tau, tau)
 
     assert holds(0.01, 1.0)
     assert not holds(0.0101, 1.0)

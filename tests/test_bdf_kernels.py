@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import certified_grid, inverse_kernel_matrix, make_rng, wild_grid
+from dense_oracles import step_scaled_matrix
 from vsbdf3.bdf_kernels import (
     apply_D3,
     assemble_B,
@@ -18,10 +19,10 @@ from vsbdf3.time_grid import build_from_steps, build_uniform, random_bounded_gri
 def test_uniform_weights_match_classical_values():
     assert kernel_weights(build_from_steps([1.0]))[0, 0] == 1.0
     assert kernel_weights(build_from_steps([2.0]))[0, 0] == 0.5
-    # two steps: the three-step form at r_{n-1} = 0
-    b0, b1, b2 = bdf3_weights(1.0, 1.0, 0.0)
+    # two steps: the three-step form at r_{n-1} = 0; at tau_n = 1, b_k = beta_k
+    b0, b1, b2 = bdf3_weights(1.0, 0.0)
     assert (b0, b1, b2) == pytest.approx((1.5, -0.5, 0.0), abs=1e-15)
-    b0, b1, b2 = bdf3_weights(1.0, 1.0, 1.0)
+    b0, b1, b2 = bdf3_weights(1.0, 1.0)
     assert (b0, b1, b2) == pytest.approx((11 / 6, -7 / 6, 1 / 3), abs=1e-15)
 
 
@@ -31,7 +32,7 @@ def test_scaled_weights_drop_the_step_factor():
         tau, rn, rm = rng.uniform(0.01, 3.0, size=3)
         beta = ratio_weights([rm, rn])[2]
         a = beta / np.sqrt([1.0, rn, rn * rm])
-        b = bdf3_weights(tau, rn, rm)
+        b = np.array(bdf3_weights(rn, rm)) / tau
         # the defining relation A = Lambda^{1/2} B Lambda^{1/2} gives
         # a0 = tau_n b0, a1 = sqrt(tau_n tau_{n-1}) b1, a2 = sqrt(tau_n tau_{n-2}) b2
         assert a[0] == pytest.approx(tau * b[0], rel=1e-13)
@@ -79,7 +80,7 @@ def test_leading_weight_positive_trailing_nonnegative():
     rng = make_rng(1)
     for _ in range(500):
         tau, rn, rm = rng.uniform(1e-3, 10.0, size=3)
-        b0, b1, b2 = bdf3_weights(tau, rn, rm)
+        b0, b1, b2 = np.array(bdf3_weights(rn, rm)) / tau
         assert b0 > 0.0
         assert b2 >= 0.0
 
@@ -96,34 +97,36 @@ def test_assemble_B_band_structure():
 
 
 def test_assemble_B_single_step():
-    km = assemble_B(build_from_steps([0.25]))
-    assert km.B == pytest.approx(np.array([[4.0]]))
-    assert km.A == pytest.approx(np.array([[1.0]]))
+    g = build_from_steps([0.25])
+    assert assemble_B(g).B == pytest.approx(np.array([[4.0]]))
+    assert step_scaled_matrix(g) == pytest.approx(np.array([[1.0]]))
 
 
 def test_assemble_A_uniform_row_two():
-    km = assemble_B(build_uniform(2, 2.0))
-    assert km.A[1] == pytest.approx([-0.5, 1.5])
+    A = step_scaled_matrix(build_uniform(2, 2.0))
+    assert A[1] == pytest.approx([-0.5, 1.5])
 
 
 def test_A_matches_directly_scaled_weights():
+    # the dense A against the ratio-form rows (beta_0, beta_1 / sqrt(r_n),
+    # beta_2 / sqrt(r_n r_{n-1})) that the elimination of ratio_analysis builds
     rng = make_rng(2)
     for _ in range(50):
         g = certified_grid(rng, int(rng.integers(3, 40)))
-        km = assemble_B(g)
+        A = step_scaled_matrix(g)
         r = g.ratios
         beta = ratio_weights(r)
         for n in range(3, g.n_steps + 1):
             a0 = beta[n - 1, 0]
             a1 = beta[n - 1, 1] / np.sqrt(r[n - 2])
             a2 = beta[n - 1, 2] / np.sqrt(r[n - 2] * r[n - 3])
-            assert km.A[n - 1, n - 1] == pytest.approx(a0, rel=1e-13)
-            assert km.A[n - 1, n - 2] == pytest.approx(a1, rel=1e-13)
-            assert km.A[n - 1, n - 3] == pytest.approx(a2, rel=1e-13)
+            assert A[n - 1, n - 1] == pytest.approx(a0, rel=1e-13)
+            assert A[n - 1, n - 2] == pytest.approx(a1, rel=1e-13)
+            assert A[n - 1, n - 3] == pytest.approx(a2, rel=1e-13)
         a0, a1 = beta[1, 0], beta[1, 1] / np.sqrt(r[0])
-        assert km.A[1, 1] == pytest.approx(a0, rel=1e-13)
-        assert km.A[1, 0] == pytest.approx(a1, rel=1e-13)
-        assert km.A[0, 0] == pytest.approx(1.0, rel=1e-13)
+        assert A[1, 1] == pytest.approx(a0, rel=1e-13)
+        assert A[1, 0] == pytest.approx(a1, rel=1e-13)
+        assert A[0, 0] == pytest.approx(1.0, rel=1e-13)
 
 
 def test_doc_kernels_uniform_hand_values():

@@ -1,11 +1,14 @@
+import argparse
 import hashlib
 import json
 import math
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
-from dense_oracles import doc_kernels
+from dense_oracles import doc_kernels, step_scaled_matrix
 from vsbdf3 import cli
 from vsbdf3.bdf_kernels import assemble_B
 from vsbdf3.cli import _Parser, build_parser, main, run_convergence
@@ -130,6 +133,41 @@ def test_convergence_refuses_a_bad_eps2_before_any_solve(tmp_path, capsys, monke
     assert list(tmp_path.iterdir()) == []
     assert main([*argv, "--eps2", "0.16"]) == 0
     assert solved == [0.16, 0.16]
+
+
+# the four commands that write one --out file, each with arguments for a short run
+_OUT_FILE_ARGV = {
+    "convergence": ["--case", "uniform", "--n", "4", "--m", "4", "--eps2", "0.16"],
+    "consistency": ["--function", "t4", "--levels", "40"],
+    "energy": ["--eps2", "0.16", "--tau", "0.01", "--steps", "3", "--m", "4"],
+    "ratio-figure": ["--ratio", "1.732", "--length", "120"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_FILE_ARGV))
+def test_an_out_file_in_a_missing_directory_is_refused_before_any_work(tmp_path, capsys,
+                                                                         monkeypatch, command):
+    # the directory is checked first: no solve, trace or progress line comes before the error
+    calls = []
+    for name in ("run", "sylvester_trace_A_from_ratios", "consistency_probe"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    out = tmp_path / "nodir" / "x.csv"
+    assert main([command, *_OUT_FILE_ARGV[command], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out}: directory {out.parent} does not exist\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_convergence_out_may_name_a_directory_its_tables_sit_beside(tmp_path):
+    # several eps2 values write sibling files named after --out, which may be a directory
+    out = tmp_path / "tables"
+    out.mkdir()
+    assert main(["--quiet", "convergence", "--case", "uniform", "--eps2", "0.16,0.36",
+                 "--n", "4", "--m", "4", "--out", str(out)]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "tables", "tables_eps2_0.16", "tables_eps2_0.36"]
 
 
 def test_convergence_case_two_without_seed_exits_2():
@@ -566,8 +604,8 @@ def test_kernels_dump_bytes_match_the_dense_oracles(tmp_path, grid):
     outdir = tmp_path / "mats"
     assert main(["--quiet", "kernels", "--grid", str(save_grid(grid, tmp_path / "g.json")),
                  "--out", str(outdir)]) == 0
-    km = assemble_B(grid)
-    for name, mat, banded in (("B", km.B, True), ("A", km.A, True),
+    for name, mat, banded in (("B", assemble_B(grid).B, True),
+                              ("A", step_scaled_matrix(grid), True),
                               ("D", doc_kernels(grid), False)):
         assert (outdir / f"{name}.csv").read_text() == _dense_csv(mat, banded)
 
@@ -661,6 +699,28 @@ def test_consistency_command(tmp_path):
         assert float(line.split(",")[2]) <= 1e-11
     assert main(["--quiet", "consistency", "--function", "t3",
                  "--levels", "2", "--out", str(out)]) == 2
+
+
+def _readme_cli_lines():
+    """The vsbdf3 command lines of the README's CLI block, continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [line.strip() for line in joined.splitlines() if line.startswith("vsbdf3 ")]
+
+
+def test_readme_cli_examples_parse_and_cover_every_command():
+    # each example is parsed, not run, so a renamed or removed flag fails here
+    parser = build_parser()
+    lines = _readme_cli_lines()
+    commands = set()
+    for line in lines:
+        try:
+            commands.add(parser.parse_args(shlex.split(line)[1:]).command)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert commands == set(sub.choices)
 
 
 def test_unknown_command_is_a_parse_error():

@@ -1,6 +1,7 @@
-"""Every exported name resolves, the package re-exports exactly the library
-modules' names, the names the benchmark reads resolve, and every exported
-solver error is an exit-3 failure of the command line."""
+"""Every exported name resolves and is declared in one module, the package
+re-exports exactly the library modules' names, the names the benchmark reads
+resolve, and every exported solver error is an exit-3 failure of the command
+line."""
 
 import importlib
 import inspect
@@ -42,6 +43,16 @@ def test_package_reexports_every_library_module_and_not_the_cli():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout == "False\n"
+
+
+def test_each_public_name_is_declared_in_one_module():
+    # a module that uses another's public name imports it without listing
+    # it in its own __all__
+    declared = {}
+    for name in MODULES:
+        for attr in importlib.import_module(f"vsbdf3.{name}").__all__:
+            declared.setdefault(attr, []).append(name)
+    assert {attr: names for attr, names in declared.items() if len(names) > 1} == {}
 
 
 def test_names_the_benchmark_reads_resolve(monkeypatch):

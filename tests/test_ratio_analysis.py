@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import certified_grid, make_rng, wild_grid
+from dense_oracles import step_scaled_matrix
 from eigen_oracles import min_symmetric_eigenvalue, spectral_norm
 from exact_oracles import shifted_pivots
 from vsbdf3 import ratio_analysis
@@ -18,7 +19,6 @@ from vsbdf3.ratio_analysis import (
     KAPPA_MIN,
     LAMBDA_MAX,
     LAMBDA_MIN,
-    MAX_CERTIFIED_RATIO,
     SWEEP_KAPPAS,
     certify_positive_definite,
     envelope_transfer_factor,
@@ -31,7 +31,12 @@ from vsbdf3.ratio_analysis import (
     sylvester_trace_A_from_ratios,
     sylvester_trace_shifted,
 )
-from vsbdf3.time_grid import build_from_ratios, build_from_steps, build_uniform
+from vsbdf3.time_grid import (
+    MAX_CERTIFIED_RATIO,
+    build_from_ratios,
+    build_from_steps,
+    build_uniform,
+)
 
 
 def test_constants_are_the_published_values():
@@ -76,7 +81,7 @@ def test_sylvester_A_grid_and_ratio_forms_agree():
     # p_1 ... p_j is its leading j x j minor
     g = certified_grid(make_rng(0), 40)
     tr = sylvester_trace_A_from_ratios(g.ratios)
-    A = assemble_B(g).A
+    A = step_scaled_matrix(g)
     S = A + A.T
     assert tr.positive
     minors = [np.linalg.slogdet(S[:j, :j]) for j in range(1, g.n_steps + 1)]
@@ -120,8 +125,8 @@ def test_shifted_diagonal_is_doubled_and_shifted_leading_weight():
 
 
 def test_envelope_formulas_hand_value():
-    mu, nu = subdiagonal_envelopes(1.0, 1.0, 1.0)
-    # common factor r_j^2 r_{j-1}^4 (1+r_j) / (tau (1+r_{j-1})^2 (1+r_{j-1}+r_j r_{j-1})) = 1/6
+    mu, nu = subdiagonal_envelopes(1.0, 1.0)
+    # common factor r_j^2 r_{j-1}^4 (1+r_j) / ((1+r_{j-1})^2 (1+r_{j-1}+r_j r_{j-1})) = 1/6
     assert mu == pytest.approx(0.25 / 6)
     assert nu == pytest.approx(1.4 / 6)
     assert mu <= nu

@@ -3,8 +3,9 @@
 Ratio sequences are drawn with N <= 12 levels (N <= 40 for the inverse
 kernels) and ratios in [0.02, 44], the range of the random-step
 convergence grids, plus extreme ratios that overflow the closed forms.
-The references are the closed forms evaluated at each level's (tau_n, r_n,
-r_{n-1}), the dense matrices of assemble_B, the column-order oracle of
+The references are the closed forms evaluated at each level's (r_n,
+r_{n-1}) and divided by tau_n, the dense B of assemble_B and the
+step-scaled A of dense_oracles, the column-order oracle of
 the inverse kernels (bit for bit), the identity D B = I, the
 Jacobi eigenvalue oracle, a dense LDL^T, the scaled table path of the
 shifted trace, and the exact LDL^T of exact_oracles for the certification
@@ -41,7 +42,7 @@ from vsbdf3.ratio_analysis import (  # noqa: E402
 from vsbdf3.time_grid import TimeGrid, build_from_ratios, build_from_steps  # noqa: E402
 
 from conftest import inverse_kernel_matrix  # noqa: E402
-from dense_oracles import doc_kernels  # noqa: E402
+from dense_oracles import doc_kernels, step_scaled_matrix  # noqa: E402
 from eigen_oracles import min_symmetric_eigenvalue  # noqa: E402
 from exact_oracles import shifted_pivots  # noqa: E402
 
@@ -86,7 +87,7 @@ def test_table_rows_over_tau_are_the_kernel_weights(ratios):
         elif level == 2:
             want = [*_bdf2_weights(t, r[0]), 0.0]
         else:
-            want = bdf3_weights(t, r[level - 2], r[level - 3])
+            want = np.array(bdf3_weights(r[level - 2], r[level - 3])) / t
         np.testing.assert_allclose(b[level - 1], want, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(np.diagonal(B), b[:, 0], rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(np.diagonal(B, -1), b[1:, 1], rtol=1e-14, atol=0.0)
@@ -119,7 +120,7 @@ def test_level_two_is_the_two_step_form_bit_for_bit(r2):
 def test_generating_function_reads_the_three_step_weights_bit_for_bit(r):
     # the level-3 row of A + A^T at r_3 = r_2 = r: a_k = beta_k / sqrt(r^k);
     # a polynomial argument returns the coefficients (a0 - a2, a1, 2*a2) exactly
-    a0, b1, b2 = bdf3_weights(1.0, r, r)
+    a0, b1, b2 = bdf3_weights(r, r)
     a1, a2 = b1 / math.sqrt(r), b2 / r
     coef = np.zeros(3)
     got = generating_function(r, Polynomial([0.0, 1.0])).coef
@@ -148,7 +149,7 @@ def test_ratio_trace_rows_are_the_step_scaled_matrix(ratios):
     # below from A, row by row (stand-ins p = 1, q = 0 before level 1)
     g = build_from_ratios(ratios, 1.0)
     tr = sylvester_trace_A_from_ratios(g.ratios)
-    A = assemble_B(g).A
+    A = step_scaled_matrix(g)
     S = A + A.T
     p, q = [1.0, 1.0, *tr.p], [0.0, *tr.q]
     assert tr.q[0] == 0.0
@@ -167,7 +168,7 @@ def test_ratio_trace_is_the_dense_ldlt_of_the_step_scaled_matrix(ratios):
     # the dense pivots d_j, and its couplings q_j = d_{j-1} L[j, j-1]
     g = build_from_ratios(ratios, 1.0)
     tr = sylvester_trace_A_from_ratios(g.ratios)
-    A = assemble_B(g).A
+    A = step_scaled_matrix(g)
     S = A + A.T
     d, L = _ldlt(S)
     assert tr.first_negative == (len(d) if d[-1] <= 0.0 else None)
@@ -193,7 +194,7 @@ def test_shifted_diagonal_at_every_level(ratios):
     # diag_j = p_j + a2_j^2 / p_{j-2} + q_j^2 / p_{j-1}
     g = build_from_ratios(ratios, 1.0)
     tr = sylvester_trace_shifted(g)
-    A = assemble_B(g).A
+    A = step_scaled_matrix(g)
     want = 2.0 * np.diagonal(A) - 2.0 * GAMMA
     p, q = tr.p, tr.q
     for j in range(len(p)):
@@ -236,7 +237,7 @@ def test_certification_agrees_with_eigen_oracle(ratios):
     # Lambda^{1/2} (B + B^T - 2 gamma Lambda^{-1}) Lambda^{1/2} = A + A^T - 2 gamma I
     # has the inertia of the shifted matrix (Sylvester's law) but stays well
     # scaled however graded the steps are
-    A = assemble_B(g).A
+    A = step_scaled_matrix(g)
     S = A + A.T - 2.0 * GAMMA * np.eye(g.n_steps)
     lam = min_symmetric_eigenvalue(S)
     assume(abs(lam) > 1e-9 * np.max(np.abs(S)))
@@ -246,11 +247,15 @@ def test_certification_agrees_with_eigen_oracle(ratios):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(ratio_values, ratio_values, ratio_values), min_size=1, max_size=8))
 def test_closed_forms_give_the_same_bits_on_floats_and_arrays(args):
+    # the closed forms take ratios only; the first value of each triple is
+    # the step that the weights b_k = beta_k / tau_n are divided by
     tau, r, s = (np.array(column) for column in zip(*args))
     with np.errstate(all="ignore"):
-        arrays = [*bdf3_weights(tau, r, s), *subdiagonal_envelopes(tau, r, s)]
+        arrays = [*(beta / tau for beta in bdf3_weights(r, s)),
+                  *(env / tau for env in subdiagonal_envelopes(r, s))]
     # on Python floats an overflow gives inf or nan, never an exception
-    floats = [[*bdf3_weights(t, x, y), *subdiagonal_envelopes(t, x, y)] for t, x, y in args]
+    floats = [[*(beta / t for beta in bdf3_weights(x, y)),
+               *(env / t for env in subdiagonal_envelopes(x, y))] for t, x, y in args]
     assert np.array(floats).T.tobytes() == np.array(arrays).tobytes()
 
 
@@ -315,7 +320,7 @@ def test_shifted_pivots_times_steps_are_the_dense_scaled_ldlt(ratios):
     # which the trace returns
     g = build_from_ratios(ratios, 1.0)
     tr = sylvester_trace_shifted(g)
-    A = assemble_B(g).A
+    A = step_scaled_matrix(g)
     d, _ = _ldlt(A + A.T - 2.0 * GAMMA * np.eye(g.n_steps))
     assert tr.first_negative == (len(d) if d[-1] <= 0.0 else None)
     np.testing.assert_allclose(tr.p, d, rtol=1e-10, atol=0.0)
