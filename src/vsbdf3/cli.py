@@ -160,20 +160,23 @@ def emit(report: ConvergenceReport, fmt: str, path) -> Path:
 # subcommands
 
 
-def _require_out_dir(out) -> None:
-    """Refuse an --out file whose directory does not exist, before any work or output."""
-    if out is not None and not out.parent.is_dir():
-        raise ValueError(f"--out {out}: directory {out.parent} does not exist")
+def _require_out_dir(*paths) -> None:
+    """Refuse each --out file that is a directory or whose directory is missing, before any work."""
+    for out in filter(None, paths):
+        if not out.parent.is_dir():
+            raise ValueError(f"--out {out}: directory {out.parent} does not exist")
+        if out.is_dir():
+            raise ValueError(f"--out {out} is a directory, not a file")
 
 
 def cmd_convergence(args) -> int:
-    _require_out_dir(args.out)
     out, paths = args.out, [args.out] * len(args.eps2)
     if out is not None and len(paths) > 1:
         paths = [out.with_name(f"{out.stem}_eps2_{e:g}{out.suffix}") for e in args.eps2]
         if len(set(paths)) < len(paths):
             twice = next(p for p in paths if paths.count(p) > 1)
             raise ValueError(f"--eps2 values {args.eps2} would write {twice} twice")
+    _require_out_dir(*paths)
     reports = run_convergence(args.case, args.eps2, args.n, args.m, seed=args.seed)
     for report, path in zip(reports, paths):
         print(f"case {report.case}  eps2={report.eps2:g}  M={report.m}")

@@ -1,9 +1,9 @@
 """Step-ratio analysis: pivot recursions and bound certificates.
 
-Positive definiteness of the kernel matrices is decided by running the
-symmetric-elimination pivot recursion on their banded entries (Sylvester's
-criterion applied minor by minor) and stopping at the first nonpositive
-pivot.  Both traces run one elimination loop over the step ratios, which
+Positive definiteness of the kernel matrices is decided by the paper's ratio
+theorem on grids inside the ratio box, else by the symmetric-elimination pivot
+recursion (Sylvester's criterion applied minor by minor), which stops at the
+first nonpositive pivot.  Both traces run one elimination loop over the ratios, which
 forms each row of A + A^T - 2*gamma*I, A = Lambda^{1/2} B Lambda^{1/2}, as
 it eliminates it; the matrix is congruent to B + B^T - 2*gamma*Lambda^{-1}.
 Its pivots tau_j p_j, the coupling envelopes and the closed-form
@@ -14,6 +14,7 @@ step ratios alone; no step enters this module's weights.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from operator import truediv
@@ -56,6 +57,8 @@ LAMBDA_MAX = 3.99
 SWEEP_KAPPAS = (KAPPA_MIN, 0.5, 1.0, KAPPA_MAX)
 # Most sweep points per axis; it bounds the sweep's time, about 0.3 us per box point.
 SWEEP_MAX_POINTS = 2000
+# One ulp below 1.405: for normal a, fl(_BOX * a) >= b gives the exact b / a <= 1.405.
+_BOX = math.nextafter(MAX_CERTIFIED_RATIO, 0.0)
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ class SylvesterTrace:
     at that level.  They are those of A + A^T for the ratio-only trace, and of
     A + A^T - 2*gamma*I for the shifted one: the step-free tau_j p_j and
     tau_j q_j / sqrt(r_j) of B + B^T - 2*gamma*Lambda^{-1}, which depend on the
-    step ratios alone.
+    step ratios alone.  p and q are empty when the ratio bound decided the grid.
     """
 
     p: tuple[float, ...]
@@ -168,7 +171,10 @@ def sylvester_trace_shifted(grid: TimeGrid) -> SylvesterTrace:
 
 
 def certify_positive_definite(grid: TimeGrid) -> tuple[bool, SylvesterTrace]:
-    """True iff every pivot of the shifted kernel matrix stays positive."""
+    """True iff every shifted pivot stays positive; the ratio theorem decides in-box grids."""
+    tau = grid.steps
+    if min(tau) >= sys.float_info.min and all(b <= _BOX * a for a, b in zip(tau, tau[1:])):
+        return True, SylvesterTrace((), ())
     trace = sylvester_trace_shifted(grid)
     return trace.positive, trace
 

@@ -31,9 +31,10 @@ def lagrange_weights(levels, n):
     return b + [Fraction(0)] * (3 - len(b))
 
 
-def shifted_pivots(steps):
+def shifted_pivots(steps, gamma=GAMMA):
     """Pivots tau_j p_j of the L D L^T factorization of B + B^T - 2*gamma*Lambda^{-1}
-    on the exact steps, up to and including the first that is <= 0."""
+    on the exact steps, up to and including the first that is <= 0; gamma = 0
+    gives those of the unshifted B + B^T."""
     tau = [Fraction(s) for s in steps]
     levels = [Fraction(0), *accumulate(tau)]
     b = [lagrange_weights(levels, n) for n in range(1, len(tau) + 1)]
@@ -43,7 +44,7 @@ def shifted_pivots(steps):
         for j in band:
             low[i, j] = (b[i][i - j] - sum(low[i, m] * low[j, m] * d[m]
                                            for m in band if m < j)) / d[j]
-        d.append(2 * b[i][0] - 2 * GAMMA / tau[i] - sum(low[i, m] ** 2 * d[m] for m in band))
+        d.append(2 * b[i][0] - 2 * gamma / tau[i] - sum(low[i, m] ** 2 * d[m] for m in band))
         if d[i] <= 0:
             break
     return [t * p for t, p in zip(tau, d)]

@@ -9,12 +9,14 @@ suite was written and are pinned here as constants.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
 from conftest import certified_grid, inverse_kernel_matrix, make_rng, wild_grid
 from dense_oracles import step_scaled_matrix
 from eigen_oracles import min_symmetric_eigenvalue, spectral_norm
+from exact_oracles import shifted_pivots
 from vsbdf3.allen_cahn import (
     SolverConfig,
     consistency_probe,
@@ -112,7 +114,10 @@ def test_criterion_04_pivot_envelopes_and_certification(capsys):
     for trial in range(10_000):
         n = int(rng.integers(1, 101))
         g = certified_grid(rng, n)
-        ok_cert, tr = certify_positive_definite(g)
+        ok_cert = certify_positive_definite(g)[0]
+        # certify may decide an in-box grid by the ratio theorem alone, with no
+        # pivots; the pivots the envelopes bound come from the recursion
+        tr = sylvester_trace_shifted(g)
         all_certified = all_certified and ok_cert and tr.first_negative is None
         tau = g.steps
         b = kernel_weights(g)
@@ -157,13 +162,21 @@ def test_criterion_05_steep_ratio_counterexample(capsys):
         if np.linalg.det(s[:j, :j]) <= 0.0:
             det_index = j
             break
+    # exact oracle: the L D L^T of B + B^T on the exact steps 1.732^k stops at
+    # the same level, far from rounding; the ratio 1.7321 already stops at 76
+    exact = shifted_pivots([Fraction(1732, 1000) ** k for k in range(120)], gamma=0)
+    near = shifted_pivots([Fraction(17321, 10000) ** k for k in range(120)], gamma=0)
     safe = sylvester_trace_A_from_ratios([1.405] * 9999)
     ok = (tr.first_negative == FIRST_NONPOSITIVE_INDEX
           and det_index == FIRST_NONPOSITIVE_INDEX
+          and len(exact) == FIRST_NONPOSITIVE_INDEX and round(float(exact[-1]), 4) == -0.0330
+          and len(near) == 76 and near[-1] <= 0
           and safe.first_negative is None and min(safe.p) > 0.0)
     _report(capsys, 5, "steep-ratio counterexample", ok,
             f"ratio 1.732 fails at pivot {tr.first_negative} "
-            f"(determinant oracle: {det_index}); ratio 1.405 positive through 10^4")
+            f"(determinant oracle: {det_index}; exact: {len(exact)}, "
+            f"tau p = {float(exact[-1]):.4f}; 1.7321 exact: {len(near)}); "
+            f"ratio 1.405 positive through 10^4")
 
 
 def test_criterion_06_generating_function_sign(capsys):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dense_oracles import doc_kernels, step_scaled_matrix
+from exact_oracles import shifted_pivots
 from vsbdf3 import cli
 from vsbdf3.bdf_kernels import assemble_B
 from vsbdf3.cli import _Parser, build_parser, main, run_convergence
@@ -160,12 +161,37 @@ def test_an_out_file_in_a_missing_directory_is_refused_before_any_work(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", sorted(_OUT_FILE_ARGV))
+def test_an_out_file_that_is_a_directory_is_refused_before_any_work(tmp_path, capsys,
+                                                                      monkeypatch, command):
+    # a directory where the file goes is found before the solve, trace or first
+    # progress line, not when the command writes after its work
+    calls = []
+    for name in ("run", "sylvester_trace_A_from_ratios", "consistency_probe"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    out = tmp_path / "x.csv"
+    out.mkdir()
+    assert main([command, *_OUT_FILE_ARGV[command], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out} is a directory, not a file\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+
 def test_convergence_out_may_name_a_directory_its_tables_sit_beside(tmp_path):
     # several eps2 values write sibling files named after --out, which may be a directory
     out = tmp_path / "tables"
     out.mkdir()
     assert main(["--quiet", "convergence", "--case", "uniform", "--eps2", "0.16,0.36",
                  "--n", "4", "--m", "4", "--out", str(out)]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "tables", "tables_eps2_0.16", "tables_eps2_0.36"]
+    # a directory in place of one of those siblings is refused before any solve
+    (tmp_path / "tables_eps2_0.36").unlink()
+    (tmp_path / "tables_eps2_0.36").mkdir()
+    assert main(["--quiet", "convergence", "--case", "uniform", "--eps2", "0.16,0.36",
+                 "--n", "4", "--m", "4", "--out", str(out)]) == 2
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         "tables", "tables_eps2_0.16", "tables_eps2_0.36"]
 
@@ -274,14 +300,23 @@ def test_certify_exit_codes(tmp_path, capsys):
         assert capsys.readouterr() == ("grid: 3 steps, horizon 1, max ratio 1.0\n"
                                        "certified: all pivots positive\n", "")
         # a ratio that underflows to zero makes the scaled coupling
-        # beta_1 / sqrt(r_2) a 0/0 (the kernels command, which divides by no
-        # ratio, still builds this grid)
+        # beta_1 / sqrt(r_2) of the recursion a 0/0 (the kernels command, which
+        # divides by no ratio, still builds this grid); the ratio r_4 = 10
+        # leaves the ratio box, so the recursion runs
         underflow = tmp_path / "underflow.json"
-        underflow.write_text('{"T": 1e300, "steps": [1e300, 1e-300, 1e-300]}')
+        underflow.write_text('{"T": 1e300, "steps": [1e300, 1e-300, 1e-300, 1e-299]}')
         assert main(["--quiet", "certify", "--grid", str(underflow)]) == 2
         assert capsys.readouterr().err == (
             "error: level 2: step ratio r_2 = 0.0 gives non-finite kernel weights "
             "a0, a1, a2 = 1.0, nan, 0.0\n")
+        # without the last step every exact ratio lies in the box, so the ratio
+        # theorem certifies the grid, as the exact factorization does
+        steps = [1e300, 1e-300, 1e-300]
+        underflow.write_text(json.dumps({"T": 1e300, "steps": steps}))
+        assert main(["certify", "--grid", str(underflow)]) == 0
+        assert capsys.readouterr() == ("grid: 3 steps, horizon 1e+300, max ratio 1.0\n"
+                                       "certified: all pivots positive\n", "")
+        assert [round(float(p), 3) for p in shifted_pivots(steps)] == [1.99, 1.99, 2.864]
         # ratios of 1e-200 are normal floats whose product underflows; the
         # coupling beta_2 / sqrt(r_3 r_2) splits the root and stays 0.0
         for text in ('{"T": 1e150, "steps": [1e150, 1e-50, 1e-250]}',

@@ -2,6 +2,7 @@ import hashlib
 import math
 import struct
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from vsbdf3.ratio_analysis import (
     LAMBDA_MAX,
     LAMBDA_MIN,
     SWEEP_KAPPAS,
+    SylvesterTrace,
     certify_positive_definite,
     envelope_transfer_factor,
     generating_function,
@@ -160,24 +162,61 @@ def test_trace_from_ratios_survives_a_product_of_ratios_that_underflows():
 
 
 def test_certification_accepts_threshold_ratio_chain():
-    ok, tr = certify_positive_definite(build_from_ratios([1.405] * 99, 1.0))
+    grid = build_from_ratios([1.405] * 99, 1.0)
+    ok, tr = certify_positive_definite(grid)
     assert ok
     assert tr.first_negative is None
-    assert len(tr.p) == 100
+    full = sylvester_trace_shifted(grid)
+    assert full.first_negative is None and len(full.p) == 100
+
+
+def test_the_ratio_box_constant_keeps_exact_ratios_in_the_box():
+    # for normal a, fl(_BOX * a) >= b gives b / a <= _BOX (1 + 2^-53) exactly,
+    # which must not pass the decimal 1.405 (the float 1.405 lies above it)
+    box = ratio_analysis._BOX
+    assert box == math.nextafter(MAX_CERTIFIED_RATIO, 0.0)
+    assert Fraction(MAX_CERTIFIED_RATIO) > Fraction(1405, 1000)
+    assert Fraction(box) * (1 + Fraction(1, 2**53)) <= Fraction(1405, 1000)
+
+
+def test_certify_runs_the_recursion_only_outside_the_ratio_box(monkeypatch):
+    calls = []
+    elimination = ratio_analysis._elimination
+
+    def counting(*args):
+        calls.append(args)
+        return elimination(*args)
+
+    monkeypatch.setattr(ratio_analysis, "_elimination", counting)
+    rng = make_rng(11)
+    for n in (1, 2, 50):
+        assert certify_positive_definite(certified_grid(rng, n)) == (True, SylvesterTrace((), ()))
+    assert calls == []
+    # subnormal steps pass b <= 1.405 * a at the ratio 1.5; the float 1.405 is above the box
+    for steps in [(1e-323, 1.5e-323), (1.0, 1.405)]:
+        calls.clear()
+        ok, trace = certify_positive_definite(build_from_steps(steps))
+        assert len(calls) == 1
+        assert (ok, trace) == (True, sylvester_trace_shifted(build_from_steps(steps)))
+        assert shifted_pivots(steps)[-1] > 0
 
 
 def test_certify_stops_where_the_exact_factorization_does():
     # 100 grids inside the ratio box and 100 wild ones, N <= 30: the float
-    # verdict stops at the level of the first nonpositive exact pivot, and
-    # every pivot it computes is within 1e-12 relative of the exact one (7e-14 seen)
+    # verdict and the recursion stop at the level of the first nonpositive
+    # exact pivot, and every pivot the recursion computes is within 1e-12
+    # relative of the exact one (7e-14 seen)
     rng = make_rng(1010)
     verdicts = []
     for make in [certified_grid] * 100 + [wild_grid] * 100:
         grid = make(rng, int(rng.integers(1, 31)))
         exact = shifted_pivots(grid.steps)
-        trace = certify_positive_definite(grid)[1]
-        verdicts.append(trace.first_negative)
-        assert trace.first_negative == (len(exact) if exact[-1] <= 0 else None)
+        want = len(exact) if exact[-1] <= 0 else None
+        ok, certified = certify_positive_definite(grid)
+        trace = sylvester_trace_shifted(grid)
+        verdicts.append(certified.first_negative)
+        assert certified.first_negative == trace.first_negative == want
+        assert ok == (want is None)
         assert list(trace.p) == pytest.approx([float(p) for p in exact], rel=1e-12, abs=0.0)
     assert verdicts[:100] == [None] * 100 and verdicts.count(None) < 150
 

@@ -355,15 +355,22 @@ _oracle_ratios = st.lists(
     max_size=39)
 
 
+# ratios in the box (0, 1.405], down to 1e-6, and within 4 ulps of its edge on either side
+_box_ratios = st.lists(
+    st.floats(min_value=1e-6, max_value=1.405)
+    | st.integers(-4, 4).map(lambda k: 1.405 + k * math.ulp(1.405)),
+    max_size=39)
+
+
 @st.composite
-def oracle_grids(draw):
+def oracle_grids(draw, ratio_lists=_oracle_ratios):
     """Grids of N <= 40 formed in floats from a first step and the drawn ratios.
 
     The first step puts the largest step at 1, the smallest in the
     subnormal range, or, with two ratios near 1e-200 inserted, the largest
     at 1e300; the product of that pair underflows to zero.
     """
-    ratios = draw(_oracle_ratios)
+    ratios = draw(ratio_lists)
     scale = draw(st.sampled_from(["normal", "subnormal", "underflowing pair"]))
     if scale == "underflowing pair":
         r = draw(st.floats(min_value=1e-201, max_value=1e-199))
@@ -390,10 +397,24 @@ def oracle_grids(draw):
 def test_certify_stops_at_the_exact_ldlt_stop_level(grid):
     # the float verdict reads the step ratios alone; the exact factorization
     # of B + B^T - 2 gamma Lambda^{-1} reads the steps as exact rationals.
-    # Positive pivots agree within 1e-12 relative (3.3e-14 seen in 3,000 grids)
+    # The recursion's positive pivots agree within 1e-12 relative (3.3e-14
+    # seen in 3,000 grids)
     exact = shifted_pivots(grid.steps)
-    ok, trace = certify_positive_definite(grid)
-    assert trace.first_negative == (len(exact) if exact[-1] <= 0 else None)
-    assert ok == (trace.first_negative is None)
+    ok, certified = certify_positive_definite(grid)
+    trace = sylvester_trace_shifted(grid)
+    assert certified.first_negative == trace.first_negative == (
+        len(exact) if exact[-1] <= 0 else None)
+    assert ok == (certified.first_negative is None)
     positive = [float(p) for p in exact if p > 0]
     assert list(trace.p[:len(positive)]) == pytest.approx(positive, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_grids(_box_ratios))
+@example(TimeGrid((1e-323, 1.5e-323)))  # passes b <= 1.405 a, yet its ratio is 1.5
+@example(TimeGrid((1e300, 1e-300, 1e-300)))  # r_2 underflows to 0.0
+def test_certify_in_the_ratio_box_gives_the_exact_verdict(grid):
+    # the ratio theorem decides normal in-box grids without the recursion;
+    # every verdict, shortcut or not, is that of the exact factorization
+    exact = shifted_pivots(grid.steps)
+    assert certify_positive_definite(grid)[0] == (exact[-1] > 0)
