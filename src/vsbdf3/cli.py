@@ -129,14 +129,12 @@ def _cells(row: ConvergenceRow) -> list[str]:
             *("" if x is None else format(x, spec) for x, spec in optional)]
 
 
-def emit(report: ConvergenceReport, fmt: str, path) -> Path:
+def emit(report: ConvergenceReport, fmt: str, path) -> None:
     """Write a report as CSV or JSON; both carry identical rounded numbers."""
-    path = Path(path)
     if fmt == "csv":
         lines = ["N,error,rate,max_r,min_r", *(",".join(_cells(row)) for row in report.rows)]
-        path.write_text("\n".join(lines) + "\n")
-        return path
-    if fmt == "json":
+        Path(path).write_text("\n".join(lines) + "\n")
+    elif fmt == "json":
         data = {
             "metadata": {
                 "case": report.case,
@@ -151,32 +149,37 @@ def emit(report: ConvergenceReport, fmt: str, path) -> Path:
                 for row in report.rows
             ],
         }
-        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        return path
-    raise ValueError(f"unknown format {fmt!r}")
+        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _require_out_dir(*paths) -> None:
-    """Refuse each --out file that is a directory or whose directory is missing, before any work."""
-    for out in filter(None, paths):
-        if not out.parent.is_dir():
-            raise ValueError(f"--out {out}: directory {out.parent} does not exist")
-        if out.is_dir():
-            raise ValueError(f"--out {out} is a directory, not a file")
+def _require_out_dir(out, *files) -> None:
+    """Refuse, before any work, a missing --out directory and a file (out by default)
+    that is a directory, lies under a non-directory or is named twice."""
+    if out is None:
+        return
+    files = files or (out,)
+    for path in files:
+        if under := next((p for p in path.parents if p.exists() and not p.is_dir()), None):
+            raise ValueError(f"--out {path}: {under} is not a directory")
+        if path.is_dir():
+            raise ValueError(f"--out {path} is a directory, not a file")
+        if files.count(path) > 1:
+            raise ValueError(f"--out {out} would write {path} twice")
+    if not out.parent.is_dir():
+        raise ValueError(f"--out {out}: directory {out.parent} does not exist")
 
 
 def cmd_convergence(args) -> int:
     out, paths = args.out, [args.out] * len(args.eps2)
     if out is not None and len(paths) > 1:
         paths = [out.with_name(f"{out.stem}_eps2_{e:g}{out.suffix}") for e in args.eps2]
-        if len(set(paths)) < len(paths):
-            twice = next(p for p in paths if paths.count(p) > 1)
-            raise ValueError(f"--eps2 values {args.eps2} would write {twice} twice")
-    _require_out_dir(*paths)
+    _require_out_dir(out, *paths)
     reports = run_convergence(args.case, args.eps2, args.n, args.m, seed=args.seed)
     for report, path in zip(reports, paths):
         print(f"case {report.case}  eps2={report.eps2:g}  M={report.m}")
@@ -242,9 +245,8 @@ def cmd_energy(args) -> int:
     e0 = result.energies[0]
     worst = float(np.max(result.energies - e0))
     if args.out is not None:
-        lines = ["t,energy"]
-        for t, e in zip(grid.levels, result.energies):
-            lines.append(f"{float(t)!r},{float(e)!r}")
+        lines = ["t,energy", *(f"{float(t)!r},{float(e)!r}"
+                               for t, e in zip(grid.levels, result.energies))]
         Path(args.out).write_text("\n".join(lines) + "\n")
         print(f"wrote {args.out}")
     print(f"E(u^0) = {e0:.12f}; max excess over E(u^0): {worst:.3e}")
@@ -258,16 +260,13 @@ def cmd_kernels(args) -> int:
     if grid.n_steps > _KERNELS_MAX_STEPS:
         raise ValueError(f"kernels needs a grid of at most {_KERNELS_MAX_STEPS} steps, "
                          f"got {grid.n_steps}")
-    out = Path(args.out)
-    # a directory in a file's place would stop the moves below after some files had moved
-    if blocked := [path for path in (out / f"{name}.csv" for name in "BAD") if path.is_dir()]:
-        raise ValueError(f"{blocked[0]} is a directory, not a file kernels can replace")
+    out, files = args.out, [args.out / f"{name}.csv" for name in "BAD"]
+    _require_out_dir(out, *files)
     b = kernel_weights(grid).tolist()
     root = [math.sqrt(t) for t in grid.steps]
     # written on out's file system, moved in after the last row: a failed dump leaves out as it was
-    near = next(path for path in (out, *out.parents) if path.is_dir())
-    with tempfile.TemporaryDirectory(dir=near) as scratch:
-        paths = [Path(scratch, f"{name}.csv") for name in "BAD"]
+    with tempfile.TemporaryDirectory(dir=out if out.is_dir() else out.parent) as scratch:
+        paths = [Path(scratch, file.name) for file in files]
         with open(paths[0], "w") as fb, open(paths[1], "w") as fa, open(paths[2], "w") as fd:
             for f in (fb, fa, fd):
                 f.write("row,col,value\n")
@@ -277,9 +276,9 @@ def cmd_kernels(args) -> int:
                 fb.writelines(f"{i},{j},{v!r}\n" for j, v in band)
                 fa.writelines(f"{i},{j},{root[i - 1] * v * root[j - 1]!r}\n" for j, v in band)
                 fd.writelines(f"{i},{j},{v!r}\n" for j, v in enumerate(d, start=1))
-        out.mkdir(parents=True, exist_ok=True)
-        for path in paths:
-            os.replace(path, out / path.name)
+        out.mkdir(exist_ok=True)
+        for path, file in zip(paths, files):
+            os.replace(path, file)
     print(f"wrote B.csv, A.csv, D.csv to {out}")
     return 0
 

@@ -166,8 +166,7 @@ def build_random(n: int, horizon: float, seed: int) -> TimeGrid:
     while np.any(sigma == 0.0):
         zero = sigma == 0.0
         sigma[zero] = rng.random(int(zero.sum()))
-    steps = horizon * sigma / sigma.sum()
-    return TimeGrid(tuple(float(s) for s in steps))
+    return build_from_steps(horizon * sigma / sigma.sum())
 
 
 def build_from_steps(steps) -> TimeGrid:
@@ -186,11 +185,9 @@ def random_bounded_grid(n: int, max_step: float, seed: int) -> TimeGrid:
     if not (math.isfinite(max_step) and max_step >= MAX_CERTIFIED_RATIO * sys.float_info.min):
         raise ValueError(f"max_step must be finite and at least 1.405 times the smallest "
                          f"normal float, got {max_step!r}")
-    if n < 1:
-        raise ValueError(f"step count must be >= 1, got {n}")
+    _check_build_args(n, max_step)
     rng = np.random.Generator(np.random.PCG64(seed))
-    steps = rng.uniform(max_step / MAX_CERTIFIED_RATIO, max_step, size=n)
-    return TimeGrid(tuple(float(s) for s in steps))
+    return build_from_steps(rng.uniform(max_step / MAX_CERTIFIED_RATIO, max_step, size=n))
 
 
 def build_from_ratios(ratios, horizon: float) -> TimeGrid:
@@ -200,12 +197,10 @@ def build_from_ratios(ratios, horizon: float) -> TimeGrid:
     space so long ratio chains cannot overflow before normalization.
     """
     ratios = _checked_ratios(ratios)
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    _check_build_args(len(ratios) + 1, horizon)
     logs = np.concatenate([[0.0], np.log(ratios)])
     rel = np.exp(np.cumsum(logs) - np.max(np.cumsum(logs)))
-    steps = horizon * rel / rel.sum()
-    return TimeGrid(tuple(float(s) for s in steps))
+    return build_from_steps(horizon * rel / rel.sum())
 
 
 def save_grid(grid: TimeGrid, path) -> Path:

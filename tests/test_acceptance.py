@@ -150,6 +150,27 @@ def test_criterion_04_pivot_envelopes_and_certification(capsys):
             f"eigenvalue oracle agreement {eig_agree}/{eig_total}")
 
 
+def test_criterion_04_graded_trial_keeps_the_jacobi_oracle():
+    # trial 900 of criterion 4's draws is graded: steps from 1.83e-17 to 0.2195
+    # put entries up to 1.85e17 in B + B^T - 2*gamma*Lambda^{-1}.  Jacobi finds
+    # each eigenvalue to a relative accuracy on such matrices, while LAPACK's
+    # eigvalsh, within its absolute bound at that norm, returned -2.13 (numpy
+    # 2.4.6, OpenBLAS 0.3.31); so the eigenvalue oracle stays Jacobi, and the
+    # exact pivots agree with it
+    rng = make_rng(1404)
+    for _ in range(901):
+        g = certified_grid(rng, int(rng.integers(1, 101)))
+    tau = np.asarray(g.steps)
+    assert (g.n_steps, f"{tau.min():.3g}", f"{tau.max():.4g}") == (67, "1.83e-17", "0.2195")
+    km = assemble_B(g)
+    shifted = km.B + km.B.T - 2.0 * GAMMA * np.diag(1.0 / tau)
+    assert f"{np.abs(shifted).max():.3g}" == "1.85e+17"
+    assert certify_positive_definite(g)[0] is True
+    assert min_symmetric_eigenvalue(shifted) > 0.0
+    pivots = shifted_pivots(g.steps)
+    assert len(pivots) == 67 and min(pivots) == Fraction(199, 100)
+
+
 def test_criterion_05_steep_ratio_counterexample(capsys):
     tr = sylvester_trace_A_from_ratios([1.732] * 119)
     # independent in-test oracle: first leading principal minor of A + A^T

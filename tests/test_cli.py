@@ -1,12 +1,16 @@
 import argparse
 import hashlib
+import io
 import json
 import math
 import shlex
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dense_oracles import doc_kernels, step_scaled_matrix
 from exact_oracles import shifted_pivots
@@ -177,6 +181,54 @@ def test_an_out_file_that_is_a_directory_is_refused_before_any_work(tmp_path, ca
     assert captured.err == f"error: --out {out} is a directory, not a file\n"
     assert calls == []
     assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+
+def _tree(root):
+    """Every path under root, with the bytes of each file."""
+    return {path: path.is_file() and path.read_bytes() for path in root.rglob("*")}
+
+
+# where each refused --out case puts the first file the command would write:
+# a file command writes it as --out itself, kernels into --out as B.csv or A.csv
+_REFUSED_FILES = {
+    "missing-directory": Path("nodir", "sub", "B.csv"),
+    "directory": Path("dir", "A.csv"),
+    "under-a-file": Path("file", "B.csv"),
+    "deep-under-a-file": Path("file", "sub", "B.csv"),
+}
+
+
+# the cases the two tests above do not cover: kernels, and a non-directory above the file
+@pytest.mark.parametrize("command, case", [
+    *((command, case) for command in [*sorted(_OUT_FILE_ARGV), "kernels"]
+      for case in ("under-a-file", "deep-under-a-file")),
+    ("kernels", "missing-directory"), ("kernels", "directory")])
+def test_every_written_file_is_checked_before_any_work(tmp_path, capsys, monkeypatch,
+                                                        command, case):
+    # one check covers the five writing commands: no solve, trace, dump row or
+    # progress line comes before the refusal, and the tree stays as it was
+    calls = []
+    for name in ("run", "sylvester_trace_A_from_ratios", "consistency_probe",
+                 "inverse_kernel_rows"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    (tmp_path / "dir" / "A.csv").mkdir(parents=True)
+    (tmp_path / "file").write_text("kept\n")
+    grid = save_grid(build_uniform(4, 1.0), tmp_path / "g.json")
+    file = tmp_path / _REFUSED_FILES[case]
+    out, argv = ((file.parent, ["--grid", str(grid)]) if command == "kernels"
+                 else (file, _OUT_FILE_ARGV[command]))
+    tree = _tree(tmp_path)
+    assert main([command, *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + {
+        "missing-directory": f"--out {out}: directory {out.parent} does not exist",
+        "directory": f"--out {file} is a directory, not a file",
+        "under-a-file": f"--out {file}: {tmp_path / 'file'} is not a directory",
+        "deep-under-a-file": f"--out {file}: {tmp_path / 'file'} is not a directory",
+    }[case] + "\n"
+    assert calls == []
+    assert _tree(tmp_path) == tree
 
 
 def test_convergence_out_may_name_a_directory_its_tables_sit_beside(tmp_path):
@@ -576,6 +628,18 @@ def test_energy_residual_whose_two_norm_overflows_is_a_divergence(capsys):
                                        "residual 1.000e+199 after 0 iterations\n")
 
 
+def test_convergence_forcing_that_overflows_is_a_divergence(capsys):
+    # eps2 * Lap(u) of the manufactured forcing overflows; the residual is
+    # then NaN, reported as a divergence with no numpy warning on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--quiet", "convergence", "--case", "uniform", "--eps2", "1e308",
+                   "--n", "1", "--m", "2"])
+    assert rc == 3
+    assert capsys.readouterr().err == ("error: Newton did not converge at level 1: "
+                                       "residual nan after 0 iterations\n")
+
+
 @pytest.mark.parametrize("command, seed, rest", [
     ("energy", -1, ["--eps2", "0.16", "--tau", "0.01", "--steps", "5"]),
     ("convergence", -10, ["--case", "2", "--n", "5"]),
@@ -661,7 +725,7 @@ def test_kernels_refuses_non_finite_inverse_kernels(tmp_path, capsys):
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for outdir in (tmp_path / "new" / "mats", kept, prior):
+        for outdir in (tmp_path / "new", kept, prior):
             assert main(["--quiet", "kernels", "--grid", str(grid_path),
                          "--out", str(outdir)]) == 2
             assert capsys.readouterr().err == (
@@ -705,7 +769,7 @@ def test_kernels_refuses_a_directory_in_place_of_a_dump_file(tmp_path, capsys):
     assert main(["--quiet", "kernels", "--grid", str(save_grid(build_uniform(4, 1.0),
                  tmp_path / "g4.json")), "--out", str(outdir)]) == 2
     assert capsys.readouterr().err == (
-        f"error: {outdir / 'A.csv'} is a directory, not a file kernels can replace\n")
+        f"error: --out {outdir / 'A.csv'} is a directory, not a file\n")
     assert {name: (outdir / name).read_bytes() for name in ("B.csv", "D.csv")} == dump
     assert sorted(path.name for path in outdir.iterdir()) == ["A.csv", "B.csv", "D.csv"]
     assert sorted(path.name for path in tmp_path.iterdir()) == ["g3.json", "g4.json", "mats"]
@@ -770,6 +834,84 @@ def test_quiet_flag_suppresses_progress(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     main(["ratio-figure", "--ratio", "1.2", "--length", "10", "--out", str(out)])
     assert capsys.readouterr().out != ""
+
+
+# ---------------------------------------------------------------------------
+# the exit contract, over generated command lines
+
+def _now_and_then(edges, ordinary):
+    """Ordinary values, and one draw in eight an edge value, so that most runs get past parsing."""
+    return st.integers(0, 7).flatmap(lambda k: edges if k == 7 else ordinary)
+
+
+# numbers for every numeric argument; counts stay small
+_EDGES = st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "5e-324"])
+_FLOATS = _now_and_then(_EDGES, st.floats(0.01, 2.0).map(repr))
+
+
+def _counts(*ordinary):
+    return _now_and_then(st.sampled_from(["0", "-1"]), st.sampled_from(ordinary).map(str))
+
+
+def _listed(values):
+    return st.lists(values, min_size=1, max_size=3).map(",".join)
+
+
+# --out relative to a fresh directory holding a regular file "file" and a
+# directory "dir": a new path, an existing file, a directory, a path in a
+# missing directory and one under a regular file
+_OUTS = st.sampled_from(["out", "file", "dir", "nodir/out", "file/out"])
+# each subcommand's flags and the values drawn for them; None leaves a flag out
+_FLAGS = {
+    "convergence": {"--case": st.sampled_from(["1", "2", "uniform"]), "--eps2": _listed(_FLOATS),
+                    "--n": _listed(_counts(*range(1, 21))), "--m": _counts(*range(1, 9)),
+                    "--seed": st.none() | _counts(1, 2, 3),
+                    "--format": st.sampled_from(["csv", "json"]), "--out": st.none() | _OUTS},
+    "ratio-figure": {"--ratio": _FLOATS, "--length": _counts(*range(1, 51)), "--out": _OUTS},
+    "validate-lemmas": {"--resolution": st.none() | _FLOATS},
+    "certify": {},
+    "energy": {"--eps2": _FLOATS, "--tau": _FLOATS, "--steps": _counts(*range(1, 21)),
+               "--seed": st.none() | _counts(1, 2, 3), "--m": _counts(3, 4, 6, 8),
+               "--out": st.none() | _OUTS},
+    "kernels": {"--out": _OUTS},
+    "consistency": {"--function": st.sampled_from(sorted(cli._PROBE_FUNCTIONS)),
+                    "--levels": _listed(_counts(*range(1, 41))), "--out": _OUTS},
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_every_command_line_keeps_the_exit_contract(data):
+    # main returns 0-3 or argparse exits 2; a refusal or failure prints one
+    # error: line, and a refusal prints nothing else and changes no file
+    command = data.draw(st.sampled_from(sorted(_FLAGS)), label="command")
+    with tempfile.TemporaryDirectory() as scratch:
+        root, argv = Path(scratch), [command]
+        (root / "file").write_text("old\n")
+        (root / "dir").mkdir()
+        for flag, values in _FLAGS[command].items():
+            if (value := data.draw(values, label=flag)) is not None:
+                argv += [flag, str(root / value) if flag == "--out" else value]
+        if command in ("certify", "kernels"):
+            steps = data.draw(_now_and_then(st.lists(_FLOATS.map(float), min_size=1, max_size=20),
+                                            st.lists(st.floats(0.01, 2.0), min_size=1, max_size=20)),
+                              label="steps")
+            horizon = data.draw(_now_and_then(_FLOATS.map(float), st.just(sum(steps))), label="T")
+            (root / "g.json").write_text(json.dumps({"T": horizon, "steps": steps}))
+            argv += ["--grid", str(root / "g.json")]
+        before, out, err = _tree(root), io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2
+                code = "parse"
+        assert code in (0, 1, 2, 3, "parse")
+        if code in (2, 3):
+            assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+        if code in (2, "parse"):
+            assert out.getvalue() == ""
+            assert _tree(root) == before
 
 
 # ---------------------------------------------------------------------------
