@@ -41,7 +41,7 @@ import numpy as np
 
 from .bdf_kernels import apply_D3, kernel_weights
 from .ratio_analysis import GAMMA
-from .spectral import SpectralOperator, energy, l2_norm
+from .spectral import SpectralOperator, energy
 from .time_grid import TimeGrid, _ro, _setstate_ro
 
 __all__ = [
@@ -148,14 +148,12 @@ class RunResult:
 
     final_state is the read-only field at the grid's level N; energies holds,
     read-only, the discrete free energy at levels 0..N (unforced runs only,
-    None otherwise); final_error is the discrete L2 error of final_state
-    against the exact solution (manufactured runs only, None otherwise).
+    None otherwise).
     """
 
     final_state: np.ndarray
     diagnostics: tuple[StepDiagnostics, ...]
     energies: np.ndarray | None
-    final_error: float | None = None
     __setstate__ = _setstate_ro
 
 
@@ -295,10 +293,7 @@ def run(config: SolverConfig) -> RunResult:
         diagnostics.append(diag)
         if unforced:
             energies.append(energy(op, state, eps2))
-    error = None
-    if not unforced and config.initial_data is None:
-        error = l2_norm(op, state - exact_solution(*op.mesh, float(config.grid.levels[-1])))
-    return RunResult(state, tuple(diagnostics), _ro(np.array(energies)) if unforced else None, error)
+    return RunResult(state, tuple(diagnostics), _ro(np.array(energies)) if unforced else None)
 
 
 def check_solvability(b0: float) -> bool:

@@ -29,6 +29,7 @@ from .allen_cahn import (
     NewtonDivergenceError,
     SolverConfig,
     consistency_probe,
+    exact_solution,
     run,
 )
 from .bdf_kernels import inverse_kernel_rows, kernel_weights
@@ -38,7 +39,7 @@ from .ratio_analysis import (
     sweep_lemma_bounds,
     sylvester_trace_A_from_ratios,
 )
-from .spectral import chebyshev_operator, fourier_operator
+from .spectral import chebyshev_operator, fourier_operator, l2_norm
 from .time_grid import (
     build_from_steps,
     build_alternating,
@@ -111,7 +112,8 @@ def run_convergence(case, eps2_list, n_list, m, seed=None):
     for eps2, row_configs in zip(eps2_list, configs):
         rows, prev = [], None
         for (n, grid), config in zip(grids.items(), row_configs):
-            err = run(config).final_error
+            exact = exact_solution(*operator.mesh, float(grid.levels[-1]))
+            err = l2_norm(operator, run(config).final_state - exact)
             rate = None if prev is None else math.log(prev[1] / err) / math.log(n / prev[0])
             ratios = grid.ratios
             rows.append(ConvergenceRow(n, err, rate,

@@ -31,7 +31,14 @@ from vsbdf3.allen_cahn import (
     step,
 )
 from vsbdf3.bdf_kernels import apply_D3, assemble_B, bdf3_weights, kernel_weights
-from vsbdf3.spectral import chebyshev_operator, energy, fourier_operator, l2_norm
+from vsbdf3.cli import run_convergence
+from vsbdf3.spectral import (
+    SpectralOperator,
+    chebyshev_operator,
+    energy,
+    fourier_operator,
+    l2_norm,
+)
 from vsbdf3.time_grid import build_from_steps, build_random, build_uniform, random_bounded_grid
 
 
@@ -138,9 +145,9 @@ def test_run_results_survive_pickling(op, forcing_mode):
     assert not back.final_state.flags.writeable
     assert not copy.deepcopy(res).final_state.flags.writeable
     if res.energies is None:
-        assert back.energies is None and back.final_error == res.final_error
+        assert back.energies is None
     else:
-        assert np.array_equal(back.energies, res.energies) and back.final_error is None
+        assert np.array_equal(back.energies, res.energies)
         assert not res.energies.flags.writeable and not back.energies.flags.writeable
         assert not copy.deepcopy(res).energies.flags.writeable
     diag = back.diagnostics[-1]
@@ -194,8 +201,8 @@ def test_records_holding_arrays_compare_and_hash_by_identity():
 
 
 def test_only_unforced_runs_evaluate_the_energy(monkeypatch):
-    # E(u^0) and one E(u^n) a level on unforced runs; manufactured runs read
-    # only final_error
+    # E(u^0) and one E(u^n) a level on unforced runs; manufactured runs
+    # evaluate none
     calls = []
 
     def counted(*args):
@@ -258,6 +265,13 @@ def test_non_finite_initial_data_is_rejected(value):
         with pytest.raises(ValueError, match=re.escape(
                 f"initial data must be finite, got {value!r} at index 5")):
             run(cfg)
+
+
+def test_initial_data_of_the_wrong_shape_is_rejected():
+    cfg = SolverConfig(build_uniform(3, 0.03), chebyshev_operator(4), 0.16,
+                       initial_data=lambda x, y: np.zeros(3))
+    with pytest.raises(ValueError, match="^initial data does not match the operator unknowns"):
+        run(cfg)
 
 
 def test_overflowing_leading_weight_is_rejected_before_arithmetic():
@@ -440,7 +454,6 @@ def test_run_equals_stepping_by_hand(energy_seed1):
     assert np.array_equal(res.final_state, hand[-1])
     assert res.diagnostics == tuple(hand_diagnostics)
     assert res.energies.tolist() == hand_energies
-    assert res.final_error is None
 
 
 def test_energy_run_keeps_its_per_level_solver_counts(energy_seed1):
@@ -497,14 +510,25 @@ def test_non_converging_inner_solve_raises(monkeypatch):
     assert info.value.level == 1 and str(info.value).endswith(" after 0 iterations")
 
 
+def test_inner_solve_breakdown_raises(monkeypatch):
+    # a preconditioner solve that returns NaN breaks the GMRES cycle down in
+    # its first iteration: Newton ends at level 1 before any correction
+    monkeypatch.setattr(SpectralOperator, "shifted_inverse",
+                        lambda self, sigma, eps2: lambda r: np.full_like(r, np.nan))
+    with pytest.raises(NewtonDivergenceError) as info:
+        run(SolverConfig(build_uniform(2, 0.1), chebyshev_operator(4), 0.16))
+    assert info.value.level == 1 and str(info.value).endswith(" after 0 iterations")
+
+
 def test_tiny_step_converges_at_the_rounding_floor():
     # b0 = 1/tau ~ 3e6 at level 4 puts the rounding noise of b0*u above
     # 1e-10; the absolute test alone made Newton fail there
     steps = [0.05] * 3 + [3e-7] + [0.05] * 3
-    res = run(SolverConfig(build_from_steps(steps), chebyshev_operator(8), eps2=0.16))
+    grid, op = build_from_steps(steps), chebyshev_operator(8)
+    res = run(SolverConfig(grid, op, eps2=0.16))
     assert [d.newton_iterations for d in res.diagnostics] == [2, 2, 2, 1, 2, 2, 2]
     assert res.diagnostics[3].final_residual <= 4.0 * np.finfo(float).eps * 4e6
-    assert res.final_error < 2e-4
+    assert l2_norm(op, res.final_state - exact_solution(*op.mesh, grid.horizon)) < 2e-4
 
 
 def test_newton_meets_tolerance_every_level():
@@ -515,16 +539,16 @@ def test_newton_meets_tolerance_every_level():
     for d in res.diagnostics:
         assert d.final_residual <= 1e-10
         assert d.newton_iterations <= 8
-    assert res.final_error is not None
-    assert res.final_error < 1e-2
+    assert l2_norm(op, res.final_state - exact_solution(*op.mesh, grid.horizon)) < 1e-2
 
 
 def test_manufactured_error_shrinks_with_refinement():
     op = chebyshev_operator(8)
     errs = []
     for n in (5, 10, 20):
-        cfg = SolverConfig(build_uniform(n, 1.0), op, eps2=0.16)
-        errs.append(run(cfg).final_error)
+        grid = build_uniform(n, 1.0)
+        res = run(SolverConfig(grid, op, eps2=0.16))
+        errs.append(l2_norm(op, res.final_state - exact_solution(*op.mesh, grid.horizon)))
     assert errs[2] < errs[1] < errs[0]
     assert errs[1] / errs[2] > 4.0  # at least visible high-order decay
 
@@ -535,7 +559,6 @@ def test_energy_mode_monotone_on_bounded_grid():
     cfg = SolverConfig(grid, op, eps2=0.16, forcing="none",
                        initial_data=default_energy_initial_data)
     res = run(cfg)
-    assert res.final_error is None
     e0 = res.energies[0]
     assert max(res.energies) <= e0 + 1e-10
     # the diagnostics record the weight and step the level solved with
@@ -630,5 +653,9 @@ def test_run_reports_per_level_diagnostics():
     assert len(res.diagnostics) == 6
     assert res.energies is None
     assert grid.levels[-1] == pytest.approx(0.3)
-    norm_err = abs(l2_norm(op, res.final_state - exact_solution(*op.mesh, grid.horizon)))
-    assert norm_err == pytest.approx(res.final_error, rel=1e-12)
+    # the convergence study's error is the L2 norm of final_state against the exact field at T
+    (report,) = run_convergence("uniform", [0.36], [6], 6)
+    grid = build_uniform(6, 1.0)
+    res = run(SolverConfig(grid, op, eps2=0.36))
+    exact = exact_solution(*op.mesh, grid.horizon)
+    assert report.rows[0].error == l2_norm(op, res.final_state - exact)

@@ -3,12 +3,16 @@ import hashlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +20,16 @@ from dense_oracles import doc_kernels, step_scaled_matrix
 from exact_oracles import shifted_pivots
 from vsbdf3 import cli
 from vsbdf3.bdf_kernels import assemble_B
-from vsbdf3.cli import _Parser, build_parser, main, run_convergence
+from vsbdf3.cli import (
+    ConvergenceReport,
+    ConvergenceRow,
+    _Parser,
+    build_parser,
+    emit,
+    main,
+    run_convergence,
+)
+from vsbdf3.spectral import SpectralOperator
 from vsbdf3.time_grid import (
     build_alternating,
     build_from_ratios,
@@ -60,6 +73,16 @@ def test_run_convergence_rates_near_three():
 def test_run_convergence_case_two_needs_seed():
     with pytest.raises(ValueError):
         run_convergence("2", [0.16], [10, 20], m=8)
+
+
+def test_unknown_case_and_format_are_refused(tmp_path):
+    with pytest.raises(ValueError, match="^unknown case '3'"):
+        run_convergence("3", [0.16], [10], m=8)
+    report = ConvergenceReport(case="uniform", eps2=0.16, m=8, seed=None,
+                               rows=(ConvergenceRow(10, 1e-3, None, None, None),))
+    with pytest.raises(ValueError, match="^unknown format 'xml'"):
+        emit(report, "xml", tmp_path / "table.xml")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_convergence_dedups_and_sorts_levels():
@@ -378,6 +401,19 @@ def test_certify_exit_codes(tmp_path, capsys):
             assert capsys.readouterr().out.endswith("certified: all pivots positive\n")
 
 
+def test_module_entry_point_keeps_the_exit_codes(tmp_path):
+    # python -m vsbdf3.cli, as the README documents it, from a checkout
+    good = save_grid(build_from_ratios([1.405] * 30, 1.0), tmp_path / "good.json")
+    bad = save_grid(build_from_ratios([1.732] * 40, 1.0), tmp_path / "bad.json")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    for grid, code in ((good, 0), (bad, 1), (tmp_path / "nope.json", 2)):
+        done = subprocess.run([sys.executable, "-m", "vsbdf3.cli", "certify", "--grid", str(grid)],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == code
+        errors = done.stderr.splitlines()
+        assert (len(errors) == 1 and errors[0].startswith("error: ")) if code == 2 else not errors
+
+
 def test_deeply_nested_grid_json_is_a_usage_error(tmp_path, capsys):
     # the decoder recurses once per bracket and exceeds the recursion limit
     nested = tmp_path / "nested.json"
@@ -401,6 +437,15 @@ def test_empty_list_arguments_are_usage_errors(tmp_path, capsys, argv):
         main(["--quiet", *argv, "--out", str(out)])
     assert info.value.code == 2
     assert "empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_malformed_list_argument_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["--quiet", "convergence", "--case", "uniform", "--n", "20,x", "--out", str(out)])
+    assert info.value.code == 2
+    assert "bad int list '20,x'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -614,6 +659,17 @@ def test_energy_gmres_cap_below_the_convex_range_is_a_divergence(capsys):
     assert rc == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: Newton did not converge at level 2: ")
+
+
+def test_energy_inner_solve_breakdown_is_a_divergence(capsys, monkeypatch):
+    # a preconditioner solve that returns NaN breaks GMRES down at level 1
+    monkeypatch.setattr(SpectralOperator, "shifted_inverse",
+                        lambda self, sigma, eps2: lambda r: np.full_like(r, np.nan))
+    rc = main(["--quiet", "energy", "--eps2", "0.16", "--tau", "0.01", "--steps", "3",
+               "--m", "4"])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Newton did not converge at level 1: ")
 
 
 def test_energy_residual_whose_two_norm_overflows_is_a_divergence(capsys):

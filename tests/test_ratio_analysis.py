@@ -70,6 +70,12 @@ def test_generating_function_refuses_ratios_that_overflow_its_coefficients():
     assert generating_function(1e-200, 0.5) == 1.0
 
 
+@pytest.mark.parametrize("r", [0.0, math.nan, math.inf])
+def test_generating_function_refuses_a_ratio_that_is_not_positive_and_finite(r):
+    with pytest.raises(ValueError, match="^ratio must be positive and finite"):
+        generating_function(r, 0.0)
+
+
 def test_sylvester_A_uniform_two_levels():
     tr = sylvester_trace_A_from_ratios(build_uniform(2, 2.0).ratios)
     assert tr.p == pytest.approx((2.0, 23 / 8))

@@ -166,6 +166,15 @@ def test_fourier_operator_requires_even_resolution():
             fourier_operator(bad)
 
 
+@pytest.mark.parametrize("build, m, message", [
+    (chebyshev_diff_matrix, 0, "need m >= 1"),
+    (open_chebyshev_weights, 1, "need m >= 2"),
+])
+def test_chebyshev_pieces_refuse_too_few_points(build, m, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build(m)
+
+
 def test_fourier_weights_cover_the_torus():
     op = fourier_operator(8)
     h = 2 * math.pi / 8

@@ -94,6 +94,8 @@ def test_levels_are_read_only():
 
 
 def test_build_random_deterministic_and_positive():
+    # the redraw of an exact-zero draw (probability about 2^-53 per draw) is
+    # left untested
     g1 = build_random(50, 1.0, seed=11)
     g2 = build_random(50, 1.0, seed=11)
     assert g1.steps == g2.steps
@@ -167,6 +169,18 @@ def test_from_json_names_a_byte_order_mark():
 def test_from_json_rejects_non_finite_horizon(horizon):
     with pytest.raises(ValueError, match="finite"):
         TimeGrid.from_json(f'{{"T": {horizon}, "steps": [0.1, 0.2]}}')
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TimeGrid.from_json('{"steps": [1.0]}'), "grid JSON needs 'T' and 'steps' fields"),
+    (lambda: TimeGrid.from_json('{"T": 1.0, "steps": 1.0}'),
+     "grid JSON needs 'T' and 'steps' fields"),
+    (lambda: build_uniform(3, 0.0), "horizon must be positive and finite"),
+    (lambda: build_uniform(3, math.inf), "horizon must be positive and finite"),
+], ids=["no-horizon", "scalar-steps", "zero-horizon", "infinite-horizon"])
+def test_grid_entries_refuse_missing_fields_and_bad_horizons(build, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()
 
 
 def test_save_and_load_grid(tmp_path):
